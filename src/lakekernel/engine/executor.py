@@ -53,22 +53,27 @@ class _Evaluator:
     def __init__(self, plan: QueryPlan):
         self.plan = plan
 
-    def value(self, node, row):
-        """row is a tuple of per-source tuples, aligned with plan.sources."""
+    def value(self, node, row, group=None):
+        """row is a tuple of per-source tuples, aligned with plan.sources.
+        In an aggregating query, group holds the rows of the current group,
+        row is its first row (None for an empty group), and every bare
+        column is a group key, constant across the group."""
         if isinstance(node, Literal):
             return node.value
         if isinstance(node, ColumnRef):
             rc = self.plan.resolutions[node]
             return row[rc.source][rc.index]
+        if isinstance(node, Aggregate):
+            return self.aggregate(node, group)
         if isinstance(node, NotOp):
-            return not self.value(node.operand, row)
+            return not self.value(node.operand, row, group)
         if isinstance(node, BinaryOp):
             if node.op == "and":
-                return self.value(node.left, row) and self.value(node.right, row)
+                return self.value(node.left, row, group) and self.value(node.right, row, group)
             if node.op == "or":
-                return self.value(node.left, row) or self.value(node.right, row)
-            left = self.value(node.left, row)
-            right = self.value(node.right, row)
+                return self.value(node.left, row, group) or self.value(node.right, row, group)
+            left = self.value(node.left, row, group)
+            right = self.value(node.right, row, group)
             if node.op == "=":
                 return left == right
             if node.op == "!=":
@@ -109,39 +114,6 @@ class _Evaluator:
             return min(values)
         return max(values)
 
-    def group_value(self, node, rows: list):
-        """Evaluate a select item in an aggregating query for one group."""
-        if isinstance(node, Aggregate):
-            return self.aggregate(node, rows)
-        if isinstance(node, ColumnRef):
-            return self.value(node, rows[0])  # a group key, constant per group
-        if isinstance(node, Literal):
-            return node.value
-        if isinstance(node, NotOp):
-            return not self.group_value(node.operand, rows)
-        if isinstance(node, BinaryOp):
-            if node.op == "and":
-                return self.group_value(node.left, rows) and self.group_value(node.right, rows)
-            if node.op == "or":
-                return self.group_value(node.left, rows) or self.group_value(node.right, rows)
-            left = self.group_value(node.left, rows)
-            right = self.group_value(node.right, rows)
-            if node.op == "=":
-                return left == right
-            if node.op == "!=":
-                return left != right
-            if node.op == "<":
-                return left < right
-            if node.op == "<=":
-                return left <= right
-            if node.op == ">":
-                return left > right
-            if node.op == ">=":
-                return left >= right
-            as_float = isinstance(left, float) or isinstance(right, float)
-            return _arith(node.op, left, right, as_float)
-        raise EvalError(f"cannot evaluate {node!r}")
-
 
 def execute_plan(plan: QueryPlan, bindings: dict) -> TableData:
     ev = _Evaluator(plan)
@@ -175,8 +147,9 @@ def execute_plan(plan: QueryPlan, bindings: dict) -> TableData:
         else:
             groups[()] = list(rows)
         for group_rows in groups.values():
+            first = group_rows[0] if group_rows else None
             out_rows.append(tuple(
-                ev.group_value(item.expr, group_rows) for item in plan.ast.select))
+                ev.value(item.expr, first, group_rows) for item in plan.ast.select))
     else:
         for row in rows:
             out_rows.append(tuple(

@@ -43,16 +43,12 @@ class QueryPlan:
 class _Analyzer:
     def __init__(self, ast: QueryAst, schemas: dict):
         self.ast = ast
-        if ast.source not in schemas:
-            raise UnknownInput(f"no input {ast.source!r}")
-        sources = [(ast.source, schemas[ast.source])]
-        if ast.join is not None:
-            if ast.join.table not in schemas:
-                raise UnknownInput(f"no input {ast.join.table!r}")
-            if ast.join.table == ast.source:
-                raise QueryTypeError(f"self-join of {ast.source!r} is not supported")
-            sources.append((ast.join.table, schemas[ast.join.table]))
-        self.sources = tuple(sources)
+        for name in ast.tables():
+            if name not in schemas:
+                raise UnknownInput(f"no input {name!r}")
+        if ast.join is not None and ast.join.table == ast.source:
+            raise QueryTypeError(f"self-join of {ast.source!r} is not supported")
+        self.sources = tuple((name, schemas[name]) for name in ast.tables())
         self.resolutions: dict[ColumnRef, ResolvedColumn] = {}
 
     def resolve(self, ref: ColumnRef) -> ResolvedColumn:

@@ -81,6 +81,12 @@ class QueryAst:
     where: object | None
     group_by: tuple[ColumnRef, ...]
 
+    def tables(self) -> tuple[str, ...]:
+        """The input tables the query names: FROM, then JOIN if present."""
+        if self.join is None:
+            return (self.source,)
+        return (self.source, self.join.table)
+
 
 # --- tokenizer ---------------------------------------------------------------
 

@@ -6,7 +6,7 @@ here, as a test double — the public run API cannot express it.
 """
 from __future__ import annotations
 
-from ..engine import analyze_query, execute_plan, parse_pipeline, plan
+from ..engine import execute_query, parse_pipeline, plan
 from ..governance import permissive_policy
 from ..kernel import LakeKernel
 from ..runner import FAILED_OPEN, MERGED, RunOptions
@@ -169,15 +169,9 @@ def _naive_run(kernel, text: str, principal: str, recorder, agent: int,
     outputs = {}
     for node in ordered:
         live = kernel.catalog.open_session(kernel.catalog.head("main"))
-        bindings = {}
-        for name in node.inputs:
-            if name in outputs:
-                bindings[name] = outputs[name]
-            else:
-                bindings[name] = kernel.catalog.read_table(live, name)
-        node_plan = analyze_query(node.query,
-                                  {n: t.schema for n, t in bindings.items()})
-        table = execute_plan(node_plan, bindings)
+        table = execute_query(node.query, {
+            t: outputs[t] if t in outputs else kernel.catalog.read_table(live, t)
+            for t in node.query.tables()})
         sid = kernel.store.put_snapshot(table)
         commit = kernel.catalog.commit_tables(
             "main", {node.name: sid}, kernel.catalog.head("main"),

@@ -18,7 +18,7 @@ from .governance import Governor, Policy
 from .runner import Runner, RunOptions, RunReport
 from .store import SnapshotStore, TableData
 from .util import RandomIds, SystemClock
-from .verify import VerifierRegistry, VerifierSpec, check_shape
+from .verify import VerifierRegistry, VerifierSpec
 
 
 class LakeKernel:
@@ -93,11 +93,8 @@ class LakeKernel:
         ReadTable, execute purely over those bindings."""
         ast = parse_query(sql)
         session = self.open_session(ref)
-        tables = [ast.source]
-        if ast.join is not None:
-            tables.append(ast.join.table)
-        bindings = {t: self.read_table(session, t, principal) for t in tables}
-        return execute_query(ast, bindings)
+        return execute_query(ast, {t: self.read_table(session, t, principal)
+                                   for t in ast.tables()})
 
     # -- runs -----------------------------------------------------------------
 
@@ -130,9 +127,7 @@ class LakeKernel:
     def register_verifier(self, name: str, pipeline_glob: str, check_sql: str,
                           principal: str) -> VerifierSpec:
         self.governor.require(principal, governance.REGISTER_VERIFIER)
-        check = parse_query(check_sql)
-        check_shape(check)
-        spec = VerifierSpec(name, pipeline_glob, check, principal)
+        spec = VerifierSpec(name, pipeline_glob, parse_query(check_sql), principal)
         self.verifiers.register(spec)
         return spec
 

@@ -1,7 +1,8 @@
 """The transactional run API.
 
-A run never writes to its target branch directly: it opens a temp branch,
-pins its reads there, commits node outputs one by one, then publishes all
+A run never writes to its target branch directly: it plans against the
+target's head commit, reads each source table once at that commit, opens a
+temp branch there, commits node outputs one by one, then publishes all
 of them in a single atomic merge only after every node succeeded and
 every matching verifier passed. On any failure the temp branch is left
 open for inspection and the target head is untouched.
@@ -10,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import MergeResult
-from .engine import PipelineSpec, analyze_query, execute_plan, format_pipeline, plan
+from .engine import PipelineSpec, execute_query, format_pipeline, plan
 from .errors import LakeError, UnknownInput, UnknownRun
-from .store import Schema
+from .util import atomic_write
 from .verify import VerdictRecord
 
 SUCCEEDED = "succeeded"
@@ -143,11 +144,6 @@ class Runner:
 
     # -- reports ----------------------------------------------------------
 
-    def _persist(self, report: RunReport) -> RunReport:
-        path = self._runs_dir / f"{report.run_id}.json"
-        path.write_text(json.dumps(report.to_json(), sort_keys=True), "utf-8")
-        return report
-
     def list_runs(self) -> list[RunReport]:
         out = []
         for path in sorted(self._runs_dir.glob("*.json")):
@@ -168,10 +164,11 @@ class Runner:
         if opts.fail_after is not None and opts.fail_after not in spec.node_names():
             raise UnknownInput(f"fail_after names unknown node {opts.fail_after!r}")
 
-        # static plan against the current target head; read path only
+        # plan and run against one commit: each source is read once, here
         target_head = catalog.head(target)
-        source_schemas = self._source_schemas(spec, target_head)
-        ordered, _ = plan(spec, source_schemas)
+        session = catalog.open_session(target_head)
+        tables = {s: catalog.read_table(session, s) for s in spec.source_tables()}
+        ordered, _ = plan(spec, {n: t.schema for n, t in tables.items()})
         order = tuple(n.name for n in ordered)
         text = format_pipeline(spec)
 
@@ -181,28 +178,29 @@ class Runner:
                              (), Outcome(DRY_RUN, node_order=order), {})
 
         temp = f"run/{spec.name}/{run_id}"
-        kernel.create_branch(temp, target, opts.principal)
-        base = catalog.head(temp)
-        session = catalog.open_session(temp)
-
+        base = kernel.create_branch(temp, target_head, opts.principal)
         results: list[NodeResult] = []
         timings: dict[str, float] = {}
-        outputs: dict = {}
+
+        def finish(kind: str, verdicts=(), **outcome) -> RunReport:
+            report = RunReport(run_id, spec.name, text, target, temp, base,
+                               tuple(results), Outcome(kind, temp_branch=temp, **outcome),
+                               timings, tuple(verdicts))
+            body = json.dumps(report.to_json(), sort_keys=True).encode("utf-8")
+            atomic_write(self._runs_dir / f"{run_id}.json", body)
+            return report
+
         failed = False
         for node in ordered:
             started = time.perf_counter()
             try:
-                bindings = {}
-                for name in node.inputs:
-                    bindings[name] = outputs.get(name) or catalog.read_table(session, name)
-                node_plan = analyze_query(node.query,
-                                          {n: t.schema for n, t in bindings.items()})
-                table = execute_plan(node_plan, bindings)
+                table = execute_query(node.query,
+                                      {t: tables[t] for t in node.query.tables()})
                 sid = kernel.store.put_snapshot(table)
                 commit = kernel.commit_tables(
                     temp, {node.name: sid}, catalog.head(temp),
                     opts.principal, f"materialize {node.name}")
-                outputs[node.name] = table
+                tables[node.name] = table
                 results.append(NodeResult(node.name, SUCCEEDED, commit.id))
                 timings[node.name] = (time.perf_counter() - started) * 1000.0
                 if opts.fail_after == node.name:
@@ -222,44 +220,23 @@ class Runner:
                 results.append(NodeResult(node.name, SKIPPED))
 
         if failed:
-            return self._persist(RunReport(
-                run_id, spec.name, text, target, temp, base, tuple(results),
-                Outcome(FAILED_OPEN, temp_branch=temp), timings))
+            return finish(FAILED_OPEN)
 
         verified_head = catalog.head(temp)
-        verdicts = tuple(kernel.verifiers.evaluate(spec.name, verified_head, run_id))
+        verdicts = kernel.verifiers.evaluate(spec.name, verified_head, run_id)
         failing = tuple(v.verifier for v in verdicts if v.verdict != "pass")
         if failing:
-            return self._persist(RunReport(
-                run_id, spec.name, text, target, temp, base, tuple(results),
-                Outcome(VERIFIER_REJECTED, temp_branch=temp, rejected=failing),
-                timings, verdicts))
-
+            return finish(VERIFIER_REJECTED, verdicts, rejected=failing)
         if opts.skip_merge:
-            return self._persist(RunReport(
-                run_id, spec.name, text, target, temp, base, tuple(results),
-                Outcome(SUCCEEDED_OPEN, temp_branch=temp), timings, verdicts))
+            return finish(SUCCEEDED_OPEN, verdicts)
 
         try:
             # merge the exact verified commit, not the live branch tip
             merge = kernel.merge(verified_head, target, opts.principal,
                                  message=f"publish {spec.name}")
         except LakeError as exc:
-            return self._persist(RunReport(
-                run_id, spec.name, text, target, temp, base, tuple(results),
-                Outcome(DENIED, temp_branch=temp, reason=str(exc)),
-                timings, verdicts))
-        return self._persist(RunReport(
-            run_id, spec.name, text, target, temp, base, tuple(results),
-            Outcome(MERGED, merge=merge, temp_branch=temp), timings, verdicts))
-
-    def _source_schemas(self, spec: PipelineSpec, head: str) -> dict:
-        catalog = self.kernel.catalog
-        session = catalog.open_session(head)
-        schemas: dict[str, Schema] = {}
-        for source in spec.source_tables():
-            schemas[source] = catalog.read_table(session, source).schema
-        return schemas
+            return finish(DENIED, verdicts, reason=str(exc))
+        return finish(MERGED, verdicts, merge=merge)
 
     # -- hygiene ---------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from .engine import (
 )
 from .errors import DuplicateName, LakeError, ShapeError
 from .governance import glob_match
+from .util import atomic_write
 
 PASS = "pass"
 FAIL = "fail"
@@ -108,7 +109,7 @@ class VerifierRegistry:
             body = {"name": spec.name, "pipeline": spec.pipeline,
                     "check": format_query(spec.check),
                     "registered_by": spec.registered_by}
-            path.write_text(json.dumps(body, sort_keys=True), "utf-8")
+            atomic_write(path, json.dumps(body, sort_keys=True).encode("utf-8"))
 
     def list_verifiers(self) -> list[VerifierSpec]:
         out = []
@@ -140,10 +141,8 @@ class VerifierRegistry:
     def _evaluate_one(self, spec: VerifierSpec, session, run_id: str,
                       commit_id: str) -> VerdictRecord:
         try:
-            tables = [spec.check.source]
-            if spec.check.join is not None:
-                tables.append(spec.check.join.table)
-            bindings = {t: self.catalog.read_table(session, t) for t in tables}
+            bindings = {t: self.catalog.read_table(session, t)
+                        for t in spec.check.tables()}
             plan = analyze_query(spec.check, {t: b.schema for t, b in bindings.items()})
             cols = plan.output_schema.columns
             if len(cols) != 1 or cols[0][1] != "bool":
@@ -171,8 +170,8 @@ class VerifierRegistry:
         with self._lock:
             existing = self.verdicts_for_run(run_id)
             body = [r.to_json() for r in existing + records]
-            self._verdict_path(run_id).write_text(
-                json.dumps(body, sort_keys=True), "utf-8")
+            atomic_write(self._verdict_path(run_id),
+                         json.dumps(body, sort_keys=True).encode("utf-8"))
 
     def verdicts_for_run(self, run_id: str) -> list[VerdictRecord]:
         path = self._verdict_path(run_id)

@@ -222,6 +222,29 @@ def test_whole_table_aggregates_on_empty_input():
         execute_query(parse_query("SELECT min(a) AS m FROM t"), {"t": t})
 
 
+@pytest.mark.parametrize("rows", [[], [(1, 4), (2, -3), (1, 7)]],
+                         ids=["empty", "rows"])
+@pytest.mark.parametrize("sql", [
+    "SELECT count(*) > 0 AS ok FROM t",
+    "SELECT g, sum(v) * 2 AS s FROM t GROUP BY g",
+    "SELECT max(v) - min(v) AS spread FROM t",
+    "SELECT g + count(*) AS x FROM t GROUP BY g",
+    "SELECT NOT (count(*) = 0) AS ok FROM t",
+])
+def test_nested_aggregates_match_oracle(sql, rows):
+    ast = parse_query(sql)
+    bindings = {"t": table(["g:int64", "v:int64"], rows)}
+    try:
+        names, _, expected = oracle_execute(ast, bindings)
+    except OracleEvalError:
+        with pytest.raises(EvalError):
+            execute_query(ast, bindings)
+        return
+    out = execute_query(ast, bindings)
+    assert out.schema.names() == names
+    assert list(out.rows) == expected
+
+
 def test_group_by_on_empty_input_yields_no_groups():
     t = table(["g:int64", "v:int64"], [])
     out = execute_query(parse_query(

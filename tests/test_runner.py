@@ -112,6 +112,41 @@ def test_dry_run_has_zero_side_effects(kernel):
     assert kernel.list_runs() == []  # nothing persisted
 
 
+def test_each_source_is_read_once_per_run(kernel):
+    seed_raw(kernel)
+    for opts in (RunOptions(principal="alice"),
+                 RunOptions(principal="alice", dry_run=True)):
+        reads_before, _ = kernel.io_counters()
+        kernel.run(PIPE, "main", opts)
+        assert kernel.io_counters()[0] - reads_before == 1  # raw, nothing else
+
+
+def test_run_plans_branches_and_reads_at_one_commit(kernel, monkeypatch):
+    """main's raw moves on right after the run reads main's head: the temp
+    branch must still start at that head and the nodes read its raw."""
+    seed_raw(kernel, x=10)
+    planned = kernel.catalog.head("main")
+    real_head = kernel.catalog.head
+    advanced = []
+
+    def head_then_advance(branch):
+        out = real_head(branch)
+        if not advanced:
+            advanced.append(branch)
+            seed_raw(kernel, x=100)
+        return out
+
+    monkeypatch.setattr(kernel.catalog, "head", head_then_advance)
+    report = kernel.run(PIPE, "main", RunOptions(principal="alice", skip_merge=True))
+    assert advanced == ["main"]
+    assert report.outcome.kind == SUCCEEDED_OPEN
+    assert report.base_commit == planned
+    temp = kernel.catalog.open_session(report.temp_branch)
+    assert kernel.catalog.read_table(temp, "raw").rows == ((1, 10), (2, 15))
+    assert kernel.catalog.read_table(temp, "t_a").rows == ((1, 11), (2, 16))
+    assert kernel.catalog.read_table(temp, "t_b").rows == ((1, 22), (2, 32))
+
+
 def test_fail_after_must_name_a_node(kernel):
     seed_raw(kernel)
     with pytest.raises(UnknownInput):
