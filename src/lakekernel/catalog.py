@@ -8,6 +8,7 @@ references only — they never touch snapshot content.
 """
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import hashlib
 import json
@@ -117,41 +118,45 @@ class Catalog:
 
     def init(self, author: str = "system") -> Commit:
         """Create the root commit and main branch if the catalog is fresh."""
-        with self._refs_locked() as refs:
-            if "main" in refs:
-                return self.get_commit(refs["main"])
+        head = self._load_refs().get("main")
+        if head is None:
             root = Commit.make([], {}, author, "root", self.clock.now())
-            self._write_commit(root)
-            refs["main"] = root.id
-            self._save_refs(refs)
-            return root
+            head = self._cas_ref("main", None, root.id, write=root)
+            if head is None:
+                return root
+        return self.get_commit(head)
 
     # -- refs ---------------------------------------------------------------
 
+    @contextlib.contextmanager
     def _refs_locked(self):
-        catalog = self
+        with open(self._lock_path, "a+") as fh:  # closing releases the flock
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            yield self._load_refs()
 
-        class _Guard:
-            def __enter__(self):
-                self._fh = open(catalog._lock_path, "a+")
-                fcntl.flock(self._fh, fcntl.LOCK_EX)
-                return catalog._load_refs()
-
-            def __exit__(self, *exc):
-                fcntl.flock(self._fh, fcntl.LOCK_UN)
-                self._fh.close()
-                return False
-
-        return _Guard()
+    def _cas_ref(self, branch: str, expected: str | None, new: str | None,
+                 write: Commit | None = None) -> str | None:
+        """The one ref move: under the refs lock, if `branch` is at `expected`
+        (None: absent), write `write`, set the ref to `new` (None: delete it)
+        and save. Returns the head found; the move happened iff it is expected."""
+        with self._refs_locked() as refs:
+            found = refs.get(branch)
+            if found != expected:
+                return found
+            if write is not None:
+                self._write_commit(write)
+            if new is None:
+                del refs[branch]
+            else:
+                refs[branch] = new
+            atomic_write(self._refs_path, json.dumps(refs, sort_keys=True).encode("utf-8"))
+            return found
 
     def _load_refs(self) -> dict:
         try:
             return json.loads(self._refs_path.read_text("utf-8"))
         except FileNotFoundError:
             return {}
-
-    def _save_refs(self, refs: dict) -> None:
-        atomic_write(self._refs_path, json.dumps(refs, sort_keys=True).encode("utf-8"))
 
     def branches(self) -> dict:
         return self._load_refs()
@@ -167,7 +172,9 @@ class Catalog:
 
     def resolve(self, ref: str) -> str:
         """Branch name or commit id -> commit id."""
-        refs = self._load_refs()
+        return self._resolve_in(self._load_refs(), ref)
+
+    def _resolve_in(self, refs: dict, ref: str) -> str:
         if ref in refs:
             return refs[ref]
         if _HEX_RE.match(ref) and self._commit_path(ref).exists():
@@ -178,23 +185,18 @@ class Catalog:
         if not _BRANCH_RE.match(name):
             raise LakeError(f"bad branch name {name!r}")
         target = self.resolve(from_ref)
-        with self._refs_locked() as refs:
-            if name in refs:
-                raise BranchExists(f"branch {name!r} exists")
-            refs[name] = target
-            self._save_refs(refs)
+        if self._cas_ref(name, None, target) is not None:
+            raise BranchExists(f"branch {name!r} exists")
         return target
 
     def delete_branch(self, name: str) -> bool:
         """Remove a ref; tolerant of a missing branch. main is permanent."""
         if name == "main":
             raise LakeError("cannot delete main")
-        with self._refs_locked() as refs:
-            if name not in refs:
-                return False
-            del refs[name]
-            self._save_refs(refs)
-            return True
+        head = self._load_refs().get(name)
+        while head is not None and (found := self._cas_ref(name, head, None)) != head:
+            head = found  # moved since the read: delete what it points at now
+        return head is not None
 
     # -- commits --------------------------------------------------------------
 
@@ -239,15 +241,12 @@ class Catalog:
                     raise UnknownSnapshot(f"snapshot {change!r} not in store")
                 tables[name] = change
         commit = Commit.make([expected_head], tables, author, message, self.clock.now())
-        with self._refs_locked() as refs:
-            if branch not in refs:
-                raise UnknownBranch(f"no branch {branch!r}")
-            if refs[branch] != expected_head:
-                raise StaleHead(f"{branch} moved to {refs[branch][:12]}, "
-                                f"expected {expected_head[:12]}")
-            self._write_commit(commit)
-            refs[branch] = commit.id
-            self._save_refs(refs)
+        found = self._cas_ref(branch, expected_head, commit.id, write=commit)
+        if found is None:
+            raise UnknownBranch(f"no branch {branch!r}")
+        if found != expected_head:
+            raise StaleHead(f"{branch} moved to {found[:12]}, "
+                            f"expected {expected_head[:12]}")
         return commit
 
     # -- history --------------------------------------------------------------
@@ -350,11 +349,12 @@ class Catalog:
         CAS with a recomputed base up to a bound, then reports RefRaced.
         Performs zero snapshot-content reads or writes.
         """
-        if not self.branch_exists(target):
-            raise UnknownBranch(f"no branch {target!r}")
         for _ in range(1 + _MERGE_RETRIES):
-            source_head = self.resolve(source)
-            target_head = self.head(target)
+            refs = self._load_refs()
+            if target not in refs:
+                raise UnknownBranch(f"no branch {target!r}")
+            target_head = refs[target]
+            source_head = self._resolve_in(refs, source)
             base = self.merge_base(source_head, target_head)
             src_map = self.get_commit(source_head).tables
             tgt_map = self.get_commit(target_head).tables
@@ -379,23 +379,11 @@ class Catalog:
             if conflicts:
                 return MergeResult(CONFLICT, conflicts=tuple(conflicts))
             if target_head == base:
-                if self._cas_ref(target, target_head, source_head):
-                    return MergeResult(FAST_FORWARD, commit_id=source_head)
-                continue
-            commit = Commit.make([target_head, source_head], merged, author,
-                                 message or f"merge into {target}", self.clock.now())
-            with self._refs_locked() as refs:
-                if refs.get(target) == target_head:
-                    self._write_commit(commit)
-                    refs[target] = commit.id
-                    self._save_refs(refs)
-                    return MergeResult(MERGE_COMMIT, commit_id=commit.id)
+                kind, new, commit = FAST_FORWARD, source_head, None
+            else:
+                commit = Commit.make([target_head, source_head], merged, author,
+                                     message or f"merge into {target}", self.clock.now())
+                kind, new = MERGE_COMMIT, commit.id
+            if self._cas_ref(target, target_head, new, write=commit) == target_head:
+                return MergeResult(kind, commit_id=new)
         return MergeResult(REF_RACED)
-
-    def _cas_ref(self, branch: str, expected: str, new: str) -> bool:
-        with self._refs_locked() as refs:
-            if refs.get(branch) != expected:
-                return False
-            refs[branch] = new
-            self._save_refs(refs)
-            return True

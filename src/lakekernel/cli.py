@@ -154,10 +154,6 @@ def cmd_query(ctx: _Ctx) -> int:
     return 0
 
 
-def _report_payload(report) -> dict:
-    return report.to_json()
-
-
 def _report_human(report) -> str:
     lines = [f"run {report.run_id} pipeline={report.pipeline} "
              f"target={report.target_branch} outcome={report.outcome.kind}"]
@@ -193,7 +189,7 @@ def cmd_run(ctx: _Ctx) -> int:
     opts = RunOptions(principal=principal, fail_after=ctx.args.fail_after,
                       dry_run=ctx.args.dry_run, skip_merge=ctx.args.no_merge)
     report = ctx.kernel().run(text, ctx.args.branch, opts)
-    ctx.emit(_report_payload(report), _report_human(report))
+    ctx.emit(report.to_json(), _report_human(report))
     return _run_exit_code(report)
 
 
@@ -250,7 +246,7 @@ def cmd_runs(ctx: _Ctx) -> int:
         return 0
     if action == "show":
         report = kernel.get_run(ctx.args.run_id)
-        ctx.emit(_report_payload(report), _report_human(report))
+        ctx.emit(report.to_json(), _report_human(report))
         return 0
     principal = ctx.require_principal()
     deleted = kernel.cleanup_temp(ctx.args.run_id, principal)

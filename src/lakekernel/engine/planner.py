@@ -136,15 +136,6 @@ class _Analyzer:
         elif isinstance(node, NotOp):
             yield from self.bare_refs(node.operand)
 
-    def check_no_nested_aggregates(self, node):
-        if isinstance(node, Aggregate):
-            return  # the arg is a plain column by construction
-        if isinstance(node, BinaryOp):
-            self.check_no_nested_aggregates(node.left)
-            self.check_no_nested_aggregates(node.right)
-        if isinstance(node, NotOp):
-            self.check_no_nested_aggregates(node.operand)
-
 
 def _ref_text(ref: ColumnRef) -> str:
     return f"{ref.table}.{ref.name}" if ref.table else ref.name
@@ -176,7 +167,6 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
     names = []
     types = []
     for item in ast.select:
-        an.check_no_nested_aggregates(item.expr)
         typ = an.type_of(item.expr, allow_agg=True)
         if aggregating:
             for ref in an.bare_refs(item.expr):

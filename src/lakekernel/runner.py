@@ -178,7 +178,8 @@ class Runner:
                              (), Outcome(DRY_RUN, node_order=order), {})
 
         temp = f"run/{spec.name}/{run_id}"
-        base = kernel.create_branch(temp, target_head, opts.principal)
+        # only this run moves the temp branch, so it carries its head along
+        base = head = kernel.create_branch(temp, target_head, opts.principal)
         results: list[NodeResult] = []
         timings: dict[str, float] = {}
 
@@ -197,11 +198,11 @@ class Runner:
                 table = execute_query(node.query,
                                       {t: tables[t] for t in node.query.tables()})
                 sid = kernel.store.put_snapshot(table)
-                commit = kernel.commit_tables(
-                    temp, {node.name: sid}, catalog.head(temp),
-                    opts.principal, f"materialize {node.name}")
+                head = kernel.commit_tables(
+                    temp, {node.name: sid}, head,
+                    opts.principal, f"materialize {node.name}").id
                 tables[node.name] = table
-                results.append(NodeResult(node.name, SUCCEEDED, commit.id))
+                results.append(NodeResult(node.name, SUCCEEDED, head))
                 timings[node.name] = (time.perf_counter() - started) * 1000.0
                 if opts.fail_after == node.name:
                     raise _InjectedCrash(node.name)
@@ -222,8 +223,7 @@ class Runner:
         if failed:
             return finish(FAILED_OPEN)
 
-        verified_head = catalog.head(temp)
-        verdicts = kernel.verifiers.evaluate(spec.name, verified_head, run_id)
+        verdicts = kernel.verifiers.evaluate(spec.name, head, run_id)
         failing = tuple(v.verifier for v in verdicts if v.verdict != "pass")
         if failing:
             return finish(VERIFIER_REJECTED, verdicts, rejected=failing)
@@ -232,7 +232,7 @@ class Runner:
 
         try:
             # merge the exact verified commit, not the live branch tip
-            merge = kernel.merge(verified_head, target, opts.principal,
+            merge = kernel.merge(head, target, opts.principal,
                                  message=f"publish {spec.name}")
         except LakeError as exc:
             return finish(DENIED, verdicts, reason=str(exc))

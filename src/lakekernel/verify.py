@@ -8,6 +8,7 @@ prior verdicts.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,15 +102,20 @@ class VerifierRegistry:
     # -- registration ------------------------------------------------------
 
     def register(self, spec: VerifierSpec) -> None:
+        """Publish the verifier file whole by hard link, which, unlike a rename,
+        fails on an existing name: of two registering processes one wins."""
         check_shape(spec.check)
+        body = {"name": spec.name, "pipeline": spec.pipeline,
+                "check": format_query(spec.check), "registered_by": spec.registered_by}
         path = self._dir / f"{spec.name}.json"
-        with self._lock:
-            if path.exists():
-                raise DuplicateName(f"verifier {spec.name!r} exists")
-            body = {"name": spec.name, "pipeline": spec.pipeline,
-                    "check": format_query(spec.check),
-                    "registered_by": spec.registered_by}
-            atomic_write(path, json.dumps(body, sort_keys=True).encode("utf-8"))
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_bytes(json.dumps(body, sort_keys=True).encode("utf-8"))
+            os.link(tmp, path)
+        except FileExistsError:
+            raise DuplicateName(f"verifier {spec.name!r} exists") from None
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def list_verifiers(self) -> list[VerifierSpec]:
         out = []

@@ -34,3 +34,18 @@ def make_kernel(path, principals=("alice", "bob"), whitelist=WL, seed=77,
                    clock=clock or FixedClock(0), ids=DeterministicIds(seed))
     k.init()
     return k
+
+
+def count_refs_reads(monkeypatch) -> list:
+    """Record every read of a refs.json file from here on."""
+    from pathlib import Path
+    real_read_text = Path.read_text
+    reads = []
+
+    def read_text(self, *args, **kwargs):
+        if self.name == "refs.json":
+            reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    return reads

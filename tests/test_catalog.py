@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from conftest import count_refs_reads
 from lakekernel.catalog import CONFLICT, DELETE, FAST_FORWARD, MERGE_COMMIT, Catalog
 from lakekernel.errors import (
     BranchExists,
@@ -447,6 +448,16 @@ def test_merge_unknown_target(tmp_path):
     cat, _ = make_catalog(tmp_path)
     with pytest.raises(UnknownBranch):
         cat.merge("main", "nope", "x")
+
+
+def test_governed_merge_reads_refs_at_most_three_times(kernel, monkeypatch):
+    """One read to resolve the source, one per merge attempt, one in the CAS."""
+    sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
+    kernel.create_branch("dev", "main", "alice")
+    kernel.commit_tables("dev", {"t": sid}, kernel.catalog.head("dev"), "alice", "t")
+    reads = count_refs_reads(monkeypatch)
+    assert kernel.merge("dev", "main", "alice").kind == FAST_FORWARD
+    assert len(reads) <= 3
 
 
 def test_cas_chain_linearization(tmp_path):

@@ -78,6 +78,13 @@ def test_parse_errors(bad):
         parse_query(bad)
 
 
+def test_nested_aggregate_is_a_parse_error():
+    """An aggregate's argument is a column or *, so the analyzer never sees
+    an aggregate inside another."""
+    with pytest.raises(ParseError):
+        parse_query("SELECT sum(count(v)) AS s FROM t")
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_query("SELECT a FROM t WHERE ~")

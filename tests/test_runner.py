@@ -3,12 +3,13 @@ import threading
 
 import pytest
 
-from conftest import make_kernel
+from conftest import count_refs_reads, make_kernel
 from lakekernel.errors import Denied, UnknownInput, UnknownRun
 from lakekernel.governance import parse_policy
 from lakekernel.runner import (
     DENIED,
     DRY_RUN,
+    FAILED,
     FAILED_OPEN,
     MERGED,
     RunOptions,
@@ -145,6 +146,42 @@ def test_run_plans_branches_and_reads_at_one_commit(kernel, monkeypatch):
     assert kernel.catalog.read_table(temp, "raw").rows == ((1, 10), (2, 15))
     assert kernel.catalog.read_table(temp, "t_a").rows == ((1, 11), (2, 16))
     assert kernel.catalog.read_table(temp, "t_b").rows == ((1, 22), (2, 32))
+
+
+def test_merged_run_reads_refs_at_most_ten_times(kernel, monkeypatch):
+    """The runner passes on the heads it holds instead of re-reading refs."""
+    seed_raw(kernel)
+    kernel.register_verifier("nonempty", "duo",
+                             "SELECT count(*) > 0 AS ok FROM t_b", "alice")
+    reads = count_refs_reads(monkeypatch)
+    report = kernel.run(PIPE, "main", RunOptions(principal="alice"))
+    assert report.outcome.kind == MERGED
+    assert len(report.verdicts) == 1
+    assert len(reads) <= 10
+
+
+def test_foreign_commit_on_temp_branch_fails_the_run(kernel, monkeypatch):
+    """A commit another writer puts on the run's temp branch between two
+    nodes is never built on or published: the next node's CAS fails."""
+    seed_raw(kernel)
+    before = kernel.catalog.head("main")
+    real_put = kernel.store.put_snapshot
+    puts = []
+
+    def put_then_intrude(table):
+        puts.append(table)
+        if len(puts) == 2:  # node 1 has committed, node 2 has not
+            temp, = [b for b in kernel.catalog.branches() if b.startswith("run/")]
+            kernel.catalog.commit_tables(temp, {"intruder": real_put(table)},
+                                         kernel.catalog.head(temp), "bob", "foreign")
+        return real_put(table)
+
+    monkeypatch.setattr(kernel.store, "put_snapshot", put_then_intrude)
+    report = kernel.run(PIPE, "main", RunOptions(principal="alice"))
+    assert report.outcome.kind == FAILED_OPEN
+    t_b = report.node_results[1]
+    assert t_b.status == FAILED and t_b.error.startswith("StaleHead")
+    assert kernel.catalog.head("main") == before
 
 
 def test_fail_after_must_name_a_node(kernel):

@@ -1,9 +1,15 @@
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+from lakekernel.engine import parse_query
 from lakekernel.errors import Denied, DuplicateName, MergeRefused, ShapeError
 from lakekernel.governance import parse_policy
 from lakekernel.runner import MERGED, RunOptions, VERIFIER_REJECTED
 from lakekernel.store import TableData
+from lakekernel.verify import VerifierRegistry, VerifierSpec
 
 PIPE = """\
 pipeline duo
@@ -154,3 +160,62 @@ def test_verdicts_persisted_per_run(kernel):
     assert [v.to_json() for v in stored] == [v.to_json() for v in report.verdicts]
     at_commit = kernel.verifiers.verdicts_at_commit(report.final_commit())
     assert len(at_commit) == 1
+
+
+def test_register_race_across_processes_keeps_the_first(kernel, monkeypatch):
+    """Two registries on one data dir stand for two processes: the second's
+    existence check can run before the first's file lands, and still only
+    one verifier of the name may be published."""
+    registries = [VerifierRegistry(kernel.data_dir, kernel.catalog) for _ in range(2)]
+    specs = [VerifierSpec("v1", "duo", parse_query("SELECT true AS ok FROM t_b"), "alice"),
+             VerifierSpec("v1", "*", parse_query("SELECT false AS ok FROM t_b"), "bob")]
+    path = kernel.data_dir / "verifiers" / "v1.json"
+    registries[0].register(specs[0])
+    first_body = path.read_bytes()
+
+    real_exists = Path.exists
+    missed = []
+
+    def exists_misses_once(self, *args, **kwargs):
+        if self == path and not missed:
+            missed.append(self)
+            return False
+        return real_exists(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", exists_misses_once)
+    with pytest.raises(DuplicateName):
+        registries[1].register(specs[1])
+    assert path.read_bytes() == first_body
+    assert [p.name for p in path.parent.iterdir()] == ["v1.json"]  # no temp left
+
+
+def test_concurrent_registrations_of_one_name_exactly_one_wins(kernel):
+    registries = [VerifierRegistry(kernel.data_dir, kernel.catalog) for _ in range(2)]
+    check = parse_query("SELECT true AS ok FROM t_b")
+    outcomes = []
+    start = threading.Barrier(8)
+
+    def register(i):
+        start.wait(timeout=10)
+        try:
+            registries[i % 2].register(VerifierSpec("v1", f"p{i}", check, "alice"))
+            outcomes.append(i)
+        except DuplicateName:
+            outcomes.append(None)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=register, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    winners = [i for i in outcomes if i is not None]
+    assert len(outcomes) == 8 and len(winners) == 1
+    [spec] = kernel.verifiers.list_verifiers()
+    assert spec.pipeline == f"p{winners[0]}"
+    assert [p.name for p in (kernel.data_dir / "verifiers").iterdir()] == ["v1.json"]
