@@ -171,18 +171,20 @@ class Catalog:
         return refs[branch]
 
     def resolve(self, ref: str) -> str:
-        """Branch name or commit id -> commit id."""
-        return self._resolve_in(self._load_refs(), ref)
+        """Branch name or commit id -> commit id. No branch is named like a
+        commit id, so a commit id resolves without reading refs."""
+        return self._resolve_in({} if _HEX_RE.match(ref) else self._load_refs(), ref)
 
     def _resolve_in(self, refs: dict, ref: str) -> str:
-        if ref in refs:
+        if _HEX_RE.match(ref):
+            if self._commit_path(ref).exists():
+                return ref
+        elif ref in refs:
             return refs[ref]
-        if _HEX_RE.match(ref) and self._commit_path(ref).exists():
-            return ref
         raise UnknownRef(f"cannot resolve {ref!r}")
 
     def create_branch(self, name: str, from_ref: str) -> str:
-        if not _BRANCH_RE.match(name):
+        if not _BRANCH_RE.match(name) or _HEX_RE.match(name):
             raise LakeError(f"bad branch name {name!r}")
         target = self.resolve(from_ref)
         if self._cas_ref(name, None, target) is not None:

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from . import governance, healer
@@ -118,11 +119,8 @@ def cmd_branch(ctx: _Ctx) -> int:
 
 def cmd_log(ctx: _Ctx) -> int:
     commits = ctx.kernel().catalog.log(ctx.args.ref)
-    payload = [{"id": c.id, "parents": list(c.parents), "author": c.author,
-                "message": c.message, "timestamp": c.timestamp,
-                "tables": dict(c.tables)} for c in commits]
     human = "\n".join(f"{c.id[:12]} {c.author:<10} {c.message}" for c in commits)
-    ctx.emit({"commits": payload}, human)
+    ctx.emit({"commits": [asdict(c) for c in commits]}, human)
     return 0
 
 
@@ -189,21 +187,19 @@ def cmd_run(ctx: _Ctx) -> int:
     opts = RunOptions(principal=principal, fail_after=ctx.args.fail_after,
                       dry_run=ctx.args.dry_run, skip_merge=ctx.args.no_merge)
     report = ctx.kernel().run(text, ctx.args.branch, opts)
-    ctx.emit(report.to_json(), _report_human(report))
+    ctx.emit(asdict(report), _report_human(report))
     return _run_exit_code(report)
 
 
 def cmd_merge(ctx: _Ctx) -> int:
     principal = ctx.require_principal()
     result = ctx.kernel().merge(ctx.args.source, ctx.args.into, principal)
-    payload = {"kind": result.kind, "commit_id": result.commit_id,
-               "conflicts": list(result.conflicts)}
     human = f"merge: {result.kind}"
     if result.commit_id:
         human += f" {result.commit_id[:12]}"
     if result.conflicts:
         human += " conflicts=" + ",".join(result.conflicts)
-    ctx.emit(payload, human)
+    ctx.emit(asdict(result), human)
     return 0 if result.ok else 1
 
 
@@ -226,10 +222,9 @@ def cmd_verifier(ctx: _Ctx) -> int:
         ctx.emit({"verifiers": payload}, human or "no verifiers")
         return 0
     records = kernel.run_verifiers(ctx.args.run_id)
-    payload = [r.to_json() for r in records]
     human = "\n".join(f"{r.verifier}: {r.verdict} {r.detail}".rstrip()
                       for r in records)
-    ctx.emit({"verdicts": payload}, human or "no matching verifiers")
+    ctx.emit({"verdicts": [asdict(r) for r in records]}, human or "no matching verifiers")
     return 0 if all(r.verdict == "pass" for r in records) else 1
 
 
@@ -246,7 +241,7 @@ def cmd_runs(ctx: _Ctx) -> int:
         return 0
     if action == "show":
         report = kernel.get_run(ctx.args.run_id)
-        ctx.emit(report.to_json(), _report_human(report))
+        ctx.emit(asdict(report), _report_human(report))
         return 0
     principal = ctx.require_principal()
     deleted = kernel.cleanup_temp(ctx.args.run_id, principal)
@@ -323,10 +318,8 @@ def cmd_approve(ctx: _Ctx) -> int:
     kernel = ctx.kernel()
     proposal = healer.find_proposal(kernel, ctx.args.proposal)
     result = healer.approve(kernel, proposal, principal)
-    payload = {"kind": result.kind, "commit_id": result.commit_id,
-               "conflicts": list(result.conflicts)}
-    ctx.emit(payload, f"approve: {result.kind} "
-                      f"{result.commit_id[:12] if result.commit_id else ''}")
+    ctx.emit(asdict(result), f"approve: {result.kind} "
+                             f"{result.commit_id[:12] if result.commit_id else ''}")
     return 0 if result.ok else 1
 
 

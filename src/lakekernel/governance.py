@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import Denied, InvalidPolicy
@@ -293,18 +293,12 @@ class Governor:
 
     def check(self, principal: str, action: Permission) -> Decision:
         decision = authorize(self.policy, principal, action)
-        record = AuditRecord(0, principal, action.text(),
-                             decision.allowed, decision.reason)
         with self._lock:
-            record = AuditRecord(len(self.records) + 1, record.principal,
-                                 record.action, record.allowed, record.reason)
+            record = AuditRecord(len(self.records) + 1, principal, action.text(),
+                                 decision.allowed, decision.reason)
             self.records.append(record)
             if self.audit_path is not None:
-                line = json.dumps({
-                    "seq": record.seq, "principal": record.principal,
-                    "action": record.action, "allowed": record.allowed,
-                    "reason": record.reason,
-                }, sort_keys=True)
+                line = json.dumps(asdict(record), sort_keys=True)
                 with open(self.audit_path, "a", encoding="utf-8") as fh:
                     fh.write(line + "\n")
         return decision

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -18,14 +18,6 @@ class TraceEvent:
     agent: int
     op: str
     fields: dict
-
-    def to_json(self) -> dict:
-        return {"seq": self.seq, "agent": self.agent, "op": self.op,
-                "fields": self.fields}
-
-    @staticmethod
-    def from_json(body: dict) -> "TraceEvent":
-        return TraceEvent(body["seq"], body["agent"], body["op"], body["fields"])
 
 
 @dataclass
@@ -37,24 +29,12 @@ class Trace:
     commits: dict = field(default_factory=dict)  # commit id -> table map
     events: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "workload": self.workload,
-            "target": self.target,
-            "initial_map": self.initial_map,
-            "final_map": self.final_map,
-            "commits": self.commits,
-            "events": [e.to_json() for e in self.events],
-        }
-
     @staticmethod
     def from_json(body: dict) -> "Trace":
-        return Trace(body["workload"], body["target"], body["initial_map"],
-                     body["final_map"], body["commits"],
-                     [TraceEvent.from_json(e) for e in body["events"]])
+        return Trace(**{**body, "events": [TraceEvent(**e) for e in body["events"]]})
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True),
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True),
                               "utf-8")
 
     @staticmethod

@@ -7,7 +7,7 @@ is exactly what the offline checkers are for.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..errors import LakeError
 from ..governance import permissive_policy
@@ -39,8 +39,7 @@ class WorkloadSpec:
             raise LakeError("mix weights must be non-negative with positive sum")
 
     def to_json(self) -> dict:
-        return {"n_agents": self.n_agents, "ops_per_agent": self.ops_per_agent,
-                "seed": self.seed, "mix": dict(self.mix)}
+        return asdict(self)
 
 
 def _agent_seed(seed: int, agent: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import MergeResult
@@ -79,54 +79,20 @@ class RunReport:
                 last = result.commit_id
         return last or self.base_commit
 
-    def to_json(self) -> dict:
-        merge = self.outcome.merge
-        return {
-            "run_id": self.run_id,
-            "pipeline": self.pipeline,
-            "pipeline_text": self.pipeline_text,
-            "target_branch": self.target_branch,
-            "temp_branch": self.temp_branch,
-            "base_commit": self.base_commit,
-            "node_results": [
-                {"node": r.node, "status": r.status,
-                 "commit_id": r.commit_id, "error": r.error}
-                for r in self.node_results
-            ],
-            "outcome": {
-                "kind": self.outcome.kind,
-                "merge": None if merge is None else {
-                    "kind": merge.kind, "commit_id": merge.commit_id,
-                    "conflicts": list(merge.conflicts)},
-                "temp_branch": self.outcome.temp_branch,
-                "rejected": list(self.outcome.rejected),
-                "reason": self.outcome.reason,
-                "node_order": list(self.outcome.node_order),
-            },
-            "timings": dict(self.timings),
-            "verdicts": [v.to_json() for v in self.verdicts],
-        }
-
     @staticmethod
     def from_json(body: dict) -> "RunReport":
-        raw_outcome = body["outcome"]
-        raw_merge = raw_outcome.get("merge")
-        merge = None
-        if raw_merge is not None:
-            merge = MergeResult(raw_merge["kind"], raw_merge["commit_id"],
-                                tuple(raw_merge["conflicts"]))
-        outcome = Outcome(raw_outcome["kind"], merge,
-                          raw_outcome.get("temp_branch"),
-                          tuple(raw_outcome.get("rejected", ())),
-                          raw_outcome.get("reason"),
-                          tuple(raw_outcome.get("node_order", ())))
-        nodes = tuple(NodeResult(r["node"], r["status"], r.get("commit_id"),
-                                 r.get("error")) for r in body["node_results"])
-        verdicts = tuple(VerdictRecord.from_json(v) for v in body.get("verdicts", ()))
-        return RunReport(body["run_id"], body["pipeline"], body["pipeline_text"],
-                         body["target_branch"], body["temp_branch"],
-                         body["base_commit"], nodes, outcome,
-                         dict(body["timings"]), verdicts)
+        outcome = _tuples(body["outcome"])
+        if outcome.get("merge") is not None:
+            outcome["merge"] = MergeResult(**_tuples(outcome["merge"]))
+        return RunReport(**{
+            **body, "outcome": Outcome(**outcome),
+            "node_results": tuple(NodeResult(**r) for r in body["node_results"]),
+            "verdicts": tuple(VerdictRecord(**v) for v in body.get("verdicts", ()))})
+
+
+def _tuples(body: dict) -> dict:
+    """A flat record's JSON with its lists turned back into tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in body.items()}
 
 
 class _InjectedCrash(Exception):
@@ -187,7 +153,7 @@ class Runner:
             report = RunReport(run_id, spec.name, text, target, temp, base,
                                tuple(results), Outcome(kind, temp_branch=temp, **outcome),
                                timings, tuple(verdicts))
-            body = json.dumps(report.to_json(), sort_keys=True).encode("utf-8")
+            body = json.dumps(asdict(report), sort_keys=True).encode("utf-8")
             atomic_write(self._runs_dir / f"{run_id}.json", body)
             return report
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import Catalog
@@ -34,6 +35,8 @@ PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
 
+_NAME_RE = re.compile(r"[a-z0-9_\-]+")
+
 
 @dataclass(frozen=True)
 class VerifierSpec:
@@ -50,16 +53,6 @@ class VerdictRecord:
     verdict: str  # pass | fail | error
     detail: str
     evaluated_at: str  # commit id
-
-    def to_json(self) -> dict:
-        return {"run_id": self.run_id, "verifier": self.verifier,
-                "verdict": self.verdict, "detail": self.detail,
-                "evaluated_at": self.evaluated_at}
-
-    @staticmethod
-    def from_json(body: dict) -> "VerdictRecord":
-        return VerdictRecord(body["run_id"], body["verifier"], body["verdict"],
-                             body["detail"], body["evaluated_at"])
 
 
 def _static_type(node) -> str | None:
@@ -103,7 +96,10 @@ class VerifierRegistry:
 
     def register(self, spec: VerifierSpec) -> None:
         """Publish the verifier file whole by hard link, which, unlike a rename,
-        fails on an existing name: of two registering processes one wins."""
+        fails on an existing name: of two registering processes one wins.
+        The name becomes the file name, so it may not hold a path."""
+        if not _NAME_RE.fullmatch(spec.name):
+            raise LakeError(f"bad verifier name {spec.name!r}")
         check_shape(spec.check)
         body = {"name": spec.name, "pipeline": spec.pipeline,
                 "check": format_query(spec.check), "registered_by": spec.registered_by}
@@ -175,7 +171,7 @@ class VerifierRegistry:
     def _append_verdicts(self, run_id: str, records: list[VerdictRecord]) -> None:
         with self._lock:
             existing = self.verdicts_for_run(run_id)
-            body = [r.to_json() for r in existing + records]
+            body = [asdict(r) for r in existing + records]
             atomic_write(self._verdict_path(run_id),
                          json.dumps(body, sort_keys=True).encode("utf-8"))
 
@@ -183,12 +179,12 @@ class VerifierRegistry:
         path = self._verdict_path(run_id)
         if not path.exists():
             return []
-        return [VerdictRecord.from_json(b) for b in json.loads(path.read_text("utf-8"))]
+        return [VerdictRecord(**b) for b in json.loads(path.read_text("utf-8"))]
 
     def verdicts_at_commit(self, commit_id: str) -> list[VerdictRecord]:
         out = []
         for path in self._verdicts_dir.glob("*.json"):
             for body in json.loads(path.read_text("utf-8")):
                 if body["evaluated_at"] == commit_id:
-                    out.append(VerdictRecord.from_json(body))
+                    out.append(VerdictRecord(**body))
         return out

@@ -393,4 +393,4 @@ def test_criterion_10_determinism(tmp_path):
     spec = WorkloadSpec(n_agents=1, ops_per_agent=20, seed=99)
     t1 = simulate(tmp_path / "h1", spec)
     t2 = simulate(tmp_path / "h2", spec)
-    assert t1.to_json() == t2.to_json()
+    assert t1 == t2

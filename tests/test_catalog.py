@@ -8,6 +8,7 @@ from conftest import count_refs_reads
 from lakekernel.catalog import CONFLICT, DELETE, FAST_FORWARD, MERGE_COMMIT, Catalog
 from lakekernel.errors import (
     BranchExists,
+    LakeError,
     NoCommonAncestor,
     StaleHead,
     UnknownBranch,
@@ -165,6 +166,27 @@ def test_branch_from_commit_id_and_resolve(tmp_path):
     assert cat.resolve(c.id) == c.id
     with pytest.raises(UnknownRef):
         cat.resolve("f" * 64)
+
+
+def test_commit_id_names_no_branch_and_resolves_without_refs(tmp_path, monkeypatch):
+    """A 64-hex ref is always a commit id: no branch may take such a name,
+    so resolving one checks the commit file and never reads refs.json."""
+    cat, store = make_catalog(tmp_path)
+    c = cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"),
+                          "alice", "x")
+    with pytest.raises(LakeError, match="bad branch name"):
+        cat.create_branch(c.id, "main")
+    with pytest.raises(LakeError, match="bad branch name"):
+        cat.create_branch("0" * 64, "main")
+    assert c.id not in cat.branches()
+    reads = count_refs_reads(monkeypatch)
+    assert cat.resolve(c.id) == c.id
+    assert cat.open_session(c.id).pinned == c.id
+    with pytest.raises(UnknownRef):
+        cat.resolve("f" * 64)
+    assert reads == []
+    assert cat.resolve("main") == c.id
+    assert len(reads) == 1
 
 
 def test_branch_creation_is_zero_data_io(tmp_path):

@@ -55,7 +55,7 @@ def test_single_agent_trace_is_deterministic(tmp_path):
     spec = WorkloadSpec(n_agents=1, ops_per_agent=25, seed=31)
     t1 = simulate(tmp_path / "a", spec)
     t2 = simulate(tmp_path / "b", spec)
-    assert t1.to_json() == t2.to_json()
+    assert t1 == t2
 
 
 def test_single_agent_all_merges_succeed(tmp_path):
@@ -81,7 +81,7 @@ def test_trace_json_roundtrip(tmp_path):
     path = tmp_path / "trace.json"
     trace.save(path)
     loaded = Trace.load(path)
-    assert loaded.to_json() == trace.to_json()
+    assert loaded == trace
 
 
 def test_trace_events_carry_observables(tmp_path):

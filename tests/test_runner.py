@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from conftest import count_refs_reads, make_kernel
+from lakekernel.catalog import CONFLICT, MergeResult
 from lakekernel.errors import Denied, UnknownInput, UnknownRun
 from lakekernel.governance import parse_policy
 from lakekernel.runner import (
@@ -12,6 +13,8 @@ from lakekernel.runner import (
     FAILED,
     FAILED_OPEN,
     MERGED,
+    NodeResult,
+    Outcome,
     RunOptions,
     RunReport,
     SUCCEEDED_OPEN,
@@ -148,8 +151,10 @@ def test_run_plans_branches_and_reads_at_one_commit(kernel, monkeypatch):
     assert kernel.catalog.read_table(temp, "t_b").rows == ((1, 22), (2, 32))
 
 
-def test_merged_run_reads_refs_at_most_ten_times(kernel, monkeypatch):
-    """The runner passes on the heads it holds instead of re-reading refs."""
+def test_merged_run_reads_refs_at_most_six_times(kernel, monkeypatch):
+    """The runner passes on the heads it holds instead of re-reading refs, and
+    a commit id resolves without them: one read of the target head, one per
+    ref move (temp branch, two nodes, publish) and one per merge attempt."""
     seed_raw(kernel)
     kernel.register_verifier("nonempty", "duo",
                              "SELECT count(*) > 0 AS ok FROM t_b", "alice")
@@ -157,7 +162,7 @@ def test_merged_run_reads_refs_at_most_ten_times(kernel, monkeypatch):
     report = kernel.run(PIPE, "main", RunOptions(principal="alice"))
     assert report.outcome.kind == MERGED
     assert len(report.verdicts) == 1
-    assert len(reads) <= 10
+    assert len(reads) <= 6
 
 
 def test_foreign_commit_on_temp_branch_fails_the_run(kernel, monkeypatch):
@@ -197,6 +202,19 @@ def test_report_json_roundtrip(kernel):
     raw = (kernel.data_dir / "runs" / f"{report.run_id}.json").read_text()
     assert RunReport.from_json(json.loads(raw)) == report
     assert kernel.get_run(report.run_id) == report
+
+
+def test_report_from_json_defaults_absent_keys():
+    """A report body that omits optional keys decodes to the record's defaults."""
+    report = RunReport.from_json({
+        "run_id": "r", "pipeline": "p", "pipeline_text": "", "target_branch": "main",
+        "temp_branch": None, "base_commit": None, "timings": {},
+        "node_results": [{"node": "n", "status": "skipped"}],
+        "outcome": {"kind": "merged",
+                    "merge": {"kind": "conflict", "commit_id": None, "conflicts": ["t"]}}})
+    assert report.node_results == (NodeResult("n", "skipped"),)
+    assert report.outcome == Outcome(MERGED, MergeResult(CONFLICT, conflicts=("t",)))
+    assert report.verdicts == ()
 
 
 def test_list_runs_and_unknown(kernel):

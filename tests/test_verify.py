@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from lakekernel.engine import parse_query
-from lakekernel.errors import Denied, DuplicateName, MergeRefused, ShapeError
+from lakekernel.errors import Denied, DuplicateName, LakeError, MergeRefused, ShapeError
 from lakekernel.governance import parse_policy
 from lakekernel.runner import MERGED, RunOptions, VERIFIER_REJECTED
 from lakekernel.store import TableData
@@ -55,6 +55,20 @@ def test_register_duplicate_name(kernel):
                              "alice")
     with pytest.raises(DuplicateName):
         kernel.register_verifier("v1", "*", "SELECT true AS ok FROM t_b", "alice")
+
+
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", "Upper", "", "v1\n"])
+def test_register_refuses_names_that_are_not_plain_file_names(kernel, name):
+    """A verifier's name becomes its file name, so one holding a path could
+    write outside verifiers/; such names are refused and nothing is written."""
+    def files():  # everything under the test's directory but the audit log
+        return sorted(p for p in kernel.data_dir.parent.rglob("*") if p.name != "audit.log")
+
+    before = files()
+    with pytest.raises(LakeError, match="bad verifier name"):
+        kernel.register_verifier(name, "duo", "SELECT true AS ok FROM t_b", "alice")
+    assert files() == before
+    assert kernel.verifiers.list_verifiers() == []
 
 
 def test_register_requires_permission(kernel):
@@ -157,7 +171,7 @@ def test_verdicts_persisted_per_run(kernel):
                              "SELECT count(*) > 0 AS ok FROM t_b", "alice")
     report = kernel.run(PIPE, "main", RunOptions(principal="alice"))
     stored = kernel.verifiers.verdicts_for_run(report.run_id)
-    assert [v.to_json() for v in stored] == [v.to_json() for v in report.verdicts]
+    assert stored == list(report.verdicts)
     at_commit = kernel.verifiers.verdicts_at_commit(report.final_commit())
     assert len(at_commit) == 1
 
