@@ -31,8 +31,8 @@ from .errors import (
 from .store import SnapshotStore, TableData
 from .util import SystemClock, atomic_write
 
-_BRANCH_RE = re.compile(r"^[a-z0-9_/.\-]+$")
-_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
+_BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
+_HEX_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class _Delete:
@@ -173,10 +173,10 @@ class Catalog:
     def resolve(self, ref: str) -> str:
         """Branch name or commit id -> commit id. No branch is named like a
         commit id, so a commit id resolves without reading refs."""
-        return self._resolve_in({} if _HEX_RE.match(ref) else self._load_refs(), ref)
+        return self._resolve_in({} if _HEX_RE.fullmatch(ref) else self._load_refs(), ref)
 
     def _resolve_in(self, refs: dict, ref: str) -> str:
-        if _HEX_RE.match(ref):
+        if _HEX_RE.fullmatch(ref):
             if self._commit_path(ref).exists():
                 return ref
         elif ref in refs:
@@ -184,7 +184,7 @@ class Catalog:
         raise UnknownRef(f"cannot resolve {ref!r}")
 
     def create_branch(self, name: str, from_ref: str) -> str:
-        if not _BRANCH_RE.match(name) or _HEX_RE.match(name):
+        if not _BRANCH_RE.fullmatch(name) or _HEX_RE.fullmatch(name):
             raise LakeError(f"bad branch name {name!r}")
         target = self.resolve(from_ref)
         if self._cas_ref(name, None, target) is not None:

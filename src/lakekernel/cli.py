@@ -21,6 +21,7 @@ from .harness import Trace, WorkloadSpec, check_isolation, check_serializability
 from .kernel import LakeKernel
 from .runner import DRY_RUN, MERGED, RunOptions, SUCCEEDED_OPEN
 from .store import TableData, decode_table
+from .util import atomic_write
 
 DEFAULT_DATA_DIR = ".lakekernel"
 
@@ -90,7 +91,7 @@ def cmd_init(ctx: _Ctx) -> int:
     if ctx.args.policy:
         text = Path(ctx.args.policy).read_text("utf-8")
         governance.parse_policy(text)  # reject bad files before adopting them
-        (ctx.data_dir / "policy.toml").write_text(text, "utf-8")
+        atomic_write(ctx.data_dir / "policy.toml", text.encode("utf-8"))
     root = ctx.kernel().init()
     ctx.emit({"root": root.id, "data_dir": str(ctx.data_dir)},
              f"initialized {ctx.data_dir} (root {root.id[:12]})")

@@ -1,4 +1,4 @@
-"""Deterministic reference executor for analyzed queries.
+"""Deterministic executor for analyzed queries.
 
 Inputs are the only data source: no catalog, clock, randomness or network
 access exists in this module, which is the testable form of compute
@@ -7,116 +7,14 @@ order; group-by output is ordered by first occurrence of the key.
 """
 from __future__ import annotations
 
-from ..errors import EvalError
 from ..store import Schema, TableData
 from .planner import QueryPlan, analyze_query
-from .queries import Aggregate, BinaryOp, ColumnRef, Literal, NotOp, QueryAst
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-
-def _check_int(value: int) -> int:
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise EvalError(f"int64 overflow: {value}")
-    return value
-
-
-def _check_float(value: float) -> float:
-    if value != value or value in (float("inf"), float("-inf")):
-        raise EvalError("non-finite float64 result")
-    return value
-
-
-def _arith(op: str, left, right, as_float: bool):
-    if op == "+":
-        out = left + right
-    elif op == "-":
-        out = left - right
-    elif op == "*":
-        out = left * right
-    else:  # /
-        if right == 0:
-            raise EvalError("division by zero")
-        if as_float:
-            out = left / right
-        else:  # integer division truncates toward zero
-            out = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                out = -out
-    if as_float:
-        return _check_float(float(out))
-    return _check_int(out)
-
-
-class _Evaluator:
-    def __init__(self, plan: QueryPlan):
-        self.plan = plan
-
-    def value(self, node, row, group=None):
-        """row is a tuple of per-source tuples, aligned with plan.sources.
-        In an aggregating query, group holds the rows of the current group,
-        row is its first row (None for an empty group), and every bare
-        column is a group key, constant across the group."""
-        if isinstance(node, Literal):
-            return node.value
-        if isinstance(node, ColumnRef):
-            rc = self.plan.resolutions[node]
-            return row[rc.source][rc.index]
-        if isinstance(node, Aggregate):
-            return self.aggregate(node, group)
-        if isinstance(node, NotOp):
-            return not self.value(node.operand, row, group)
-        if isinstance(node, BinaryOp):
-            if node.op == "and":
-                return self.value(node.left, row, group) and self.value(node.right, row, group)
-            if node.op == "or":
-                return self.value(node.left, row, group) or self.value(node.right, row, group)
-            left = self.value(node.left, row, group)
-            right = self.value(node.right, row, group)
-            if node.op == "=":
-                return left == right
-            if node.op == "!=":
-                return left != right
-            if node.op == "<":
-                return left < right
-            if node.op == "<=":
-                return left <= right
-            if node.op == ">":
-                return left > right
-            if node.op == ">=":
-                return left >= right
-            as_float = isinstance(left, float) or isinstance(right, float)
-            return _arith(node.op, left, right, as_float)
-        raise EvalError(f"cannot evaluate {node!r}")
-
-    def aggregate(self, node: Aggregate, rows: list):
-        if node.func == "count":
-            return len(rows)
-        values = []
-        rc = self.plan.resolutions[node.column]
-        for row in rows:
-            values.append(row[rc.source][rc.index])
-        if node.func == "sum":
-            if not values:
-                return 0.0 if rc.type == "float64" else 0
-            total = values[0]
-            for v in values[1:]:
-                total = total + v
-            if rc.type == "float64":
-                return _check_float(float(total))
-            return _check_int(total)
-        if not values:
-            raise EvalError(f"{node.func}() over zero rows")
-        if node.func == "avg":
-            return _check_float(float(sum(values)) / len(values))
-        if node.func == "min":
-            return min(values)
-        return max(values)
+from .queries import QueryAst
 
 
 def execute_plan(plan: QueryPlan, bindings: dict) -> TableData:
-    ev = _Evaluator(plan)
+    """Run an analyzed query's compiled expressions over bindings, which
+    maps input name -> TableData."""
     from_name = plan.sources[0][0]
     rows = [(r,) for r in bindings[from_name].rows]
 
@@ -133,27 +31,25 @@ def execute_plan(plan: QueryPlan, bindings: dict) -> TableData:
                 joined.append((lrow, jrow))
         rows = joined
 
-    if plan.ast.where is not None:
-        rows = [r for r in rows if ev.value(plan.ast.where, r)]
+    where = plan.where
+    if where is not None:
+        rows = [r for r in rows if where(r, None)]
 
     out_rows = []
     if plan.aggregating:
         groups: dict = {}
-        if plan.ast.group_by:
-            key_refs = [plan.resolutions[c] for c in plan.ast.group_by]
+        if plan.group_keys:
             for row in rows:
-                key = tuple(row[rc.source][rc.index] for rc in key_refs)
+                key = tuple(row[source][index] for source, index in plan.group_keys)
                 groups.setdefault(key, []).append(row)
         else:
             groups[()] = list(rows)
         for group_rows in groups.values():
             first = group_rows[0] if group_rows else None
-            out_rows.append(tuple(
-                ev.value(item.expr, first, group_rows) for item in plan.ast.select))
+            out_rows.append(tuple(fn(first, group_rows) for fn in plan.select))
     else:
         for row in rows:
-            out_rows.append(tuple(
-                ev.value(item.expr, row) for item in plan.ast.select))
+            out_rows.append(tuple(fn(row, None) for fn in plan.select))
 
     return TableData(plan.output_schema, tuple(out_rows))
 

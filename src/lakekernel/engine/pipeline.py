@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from ..errors import CycleOrForwardRef, ParseError
 from .queries import QueryAst, format_query, parse_query
 
-_IDENT = re.compile(r"^[a-z_][a-z0-9_]*$")
-_PKG = re.compile(r"^[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+$")
-_ENV = re.compile(r"^runtime=(\S+)\s+packages=\[([^\]]*)\]$")
+_IDENT = re.compile(r"[a-z_][a-z0-9_]*")
+_PKG = re.compile(r"[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+")
+_ENV = re.compile(r"runtime=(\S+)\s+packages=\[([^\]]*)\]")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _indent_of(raw: str) -> int:
 
 
 def _ident(text: str, lineno: int) -> str:
-    if not _IDENT.match(text):
+    if not _IDENT.fullmatch(text):
         raise ParseError(f"bad identifier {text!r}", lineno)
     return text
 
@@ -177,13 +177,13 @@ def _parse_node(lines: _Lines, name: str, header_line: int) -> NodeSpec:
         raise CycleOrForwardRef(f"node {name!r} reads itself", lineno)
 
     lineno, env_text = fields["env"]
-    m = _ENV.match(env_text)
+    m = _ENV.fullmatch(env_text)
     if not m:
         raise ParseError("expected 'runtime=<tag> packages=[...]'", lineno)
     runtime = m.group(1)
     packages = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
     for pkg in packages:
-        if not _PKG.match(pkg):
+        if not _PKG.fullmatch(pkg):
             raise ParseError(f"bad package pin {pkg!r}, want name==version", lineno)
 
     lineno, mat = fields["materialize"]

@@ -1,11 +1,15 @@
-"""Static analysis: column resolution, type checking, output schemas and
+"""Static analysis and compilation: column resolution, type checking,
+output schemas, expressions compiled once per plan into closures, and
 stable topological ordering of pipeline nodes."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable
 
-from ..errors import QueryTypeError, UnknownInput
-from ..store import Schema
+from ..errors import EvalError, QueryTypeError, UnknownInput
+from ..store import INT64_MAX, INT64_MIN, Schema
 from .pipeline import NodeSpec, PipelineSpec
 from .queries import (
     Aggregate,
@@ -15,11 +19,12 @@ from .queries import (
     Literal,
     NotOp,
     QueryAst,
-    SelectItem,
 )
 
 _NUMERIC = ("int64", "float64")
-_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 @dataclass(frozen=True)
@@ -31,13 +36,42 @@ class ResolvedColumn:
 
 @dataclass
 class QueryPlan:
+    """A type-checked query. Each compiled expression is a closure
+    fn(row, group): row is a tuple of per-source tuples, aligned with
+    sources. In an aggregating query, group holds the rows of the current
+    group, row is its first row (None for an empty group), and every bare
+    column is a group key, constant across the group."""
     ast: QueryAst
     sources: tuple[tuple[str, Schema], ...]
     output_schema: Schema
     aggregating: bool
-    resolutions: dict  # ColumnRef -> ResolvedColumn
     join_cols: tuple[ResolvedColumn, ResolvedColumn] | None  # (from side, join side)
-    output_names: tuple[str, ...]
+    where: Callable | None
+    select: tuple[Callable, ...]
+    group_keys: tuple[tuple[int, int], ...]  # (source, index) per GROUP BY column
+
+
+def _check_int(value: int) -> int:
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise EvalError(f"int64 overflow: {value}")
+    return value
+
+
+def _check_float(value: float) -> float:
+    if value != value or value in (float("inf"), float("-inf")):
+        raise EvalError("non-finite float64 result")
+    return value
+
+
+def _divide(as_float: bool):
+    def divide(left, right):
+        if right == 0:
+            raise EvalError("division by zero")
+        if as_float:
+            return left / right
+        out = abs(left) // abs(right)  # integer division truncates toward zero
+        return -out if (left < 0) != (right < 0) else out
+    return divide
 
 
 class _Analyzer:
@@ -49,12 +83,8 @@ class _Analyzer:
         if ast.join is not None and ast.join.table == ast.source:
             raise QueryTypeError(f"self-join of {ast.source!r} is not supported")
         self.sources = tuple((name, schemas[name]) for name in ast.tables())
-        self.resolutions: dict[ColumnRef, ResolvedColumn] = {}
 
     def resolve(self, ref: ColumnRef) -> ResolvedColumn:
-        cached = self.resolutions.get(ref)
-        if cached is not None:
-            return cached
         hits = []
         for idx, (name, schema) in enumerate(self.sources):
             if ref.table is not None and ref.table != name:
@@ -68,73 +98,97 @@ class _Analyzer:
             raise QueryTypeError(f"unknown column {_ref_text(ref)!r}")
         if len(hits) > 1:
             raise QueryTypeError(f"ambiguous column {ref.name!r}, qualify it")
-        self.resolutions[ref] = hits[0]
         return hits[0]
 
-    def type_of(self, node, allow_agg: bool) -> str:
+    def compile(self, node, allow_agg: bool) -> tuple[str, Callable]:
+        """The static type of node and a closure fn(row, group) computing
+        its value (see QueryPlan)."""
         if isinstance(node, Literal):
-            return node.type
+            value = node.value
+            return node.type, lambda row, group: value
         if isinstance(node, ColumnRef):
-            return self.resolve(node).type
+            rc = self.resolve(node)
+            source, index = rc.source, rc.index
+            return rc.type, lambda row, group: row[source][index]
         if isinstance(node, Aggregate):
             if not allow_agg:
                 raise QueryTypeError(
                     f"aggregate {node.func}() only allowed in select items")
-            if node.column is None:
-                return "int64"
-            arg_type = self.resolve(node.column).type
-            if node.func == "count":
-                return "int64"
-            if node.func in ("sum", "avg") and arg_type not in _NUMERIC:
-                raise QueryTypeError(f"{node.func}() needs a numeric column, "
-                                     f"got {arg_type}")
-            if node.func == "sum":
-                return arg_type
-            if node.func == "avg":
-                return "float64"
-            return arg_type  # min / max
+            return self.compile_aggregate(node)
         if isinstance(node, NotOp):
-            if self.type_of(node.operand, allow_agg) != "bool":
+            typ, operand = self.compile(node.operand, allow_agg)
+            if typ != "bool":
                 raise QueryTypeError("NOT needs a bool operand")
-            return "bool"
+            return "bool", lambda row, group: not operand(row, group)
         if isinstance(node, BinaryOp):
-            lt = self.type_of(node.left, allow_agg)
-            rt = self.type_of(node.right, allow_agg)
+            lt, left = self.compile(node.left, allow_agg)
+            rt, right = self.compile(node.right, allow_agg)
             if node.op in ("and", "or"):
                 if lt != "bool" or rt != "bool":
                     raise QueryTypeError(f"{node.op.upper()} needs bool operands, "
                                          f"got {lt} and {rt}")
-                return "bool"
+                if node.op == "and":
+                    return "bool", lambda row, group: left(row, group) and right(row, group)
+                return "bool", lambda row, group: left(row, group) or right(row, group)
             if node.op in _COMPARISONS:
                 both_numeric = lt in _NUMERIC and rt in _NUMERIC
                 if not both_numeric and lt != rt:
                     raise QueryTypeError(f"cannot compare {lt} with {rt}")
-                return "bool"
+                compare = _COMPARISONS[node.op]
+                return "bool", lambda row, group: compare(left(row, group), right(row, group))
             # + - * /
             if lt not in _NUMERIC or rt not in _NUMERIC:
                 raise QueryTypeError(f"arithmetic needs numeric operands, "
                                      f"got {lt} and {rt}")
-            return "float64" if "float64" in (lt, rt) else "int64"
+            as_float = "float64" in (lt, rt)
+            arith = _divide(as_float) if node.op == "/" else _ARITHMETIC[node.op]
+            if as_float:
+                return "float64", lambda row, group: _check_float(
+                    float(arith(left(row, group), right(row, group))))
+            return "int64", lambda row, group: _check_int(
+                arith(left(row, group), right(row, group)))
         raise QueryTypeError(f"unexpected expression node {node!r}")
 
-    def contains_aggregate(self, node) -> bool:
-        if isinstance(node, Aggregate):
-            return True
-        if isinstance(node, BinaryOp):
-            return self.contains_aggregate(node.left) or self.contains_aggregate(node.right)
-        if isinstance(node, NotOp):
-            return self.contains_aggregate(node.operand)
-        return False
+    def compile_aggregate(self, node: Aggregate) -> tuple[str, Callable]:
+        """An aggregate folds its column over the group."""
+        rc = None if node.column is None else self.resolve(node.column)  # None: count(*)
+        if node.func == "count":
+            return "int64", lambda row, group: len(group)
+        arg_type, source, index = rc.type, rc.source, rc.index
+        if node.func in ("sum", "avg") and arg_type not in _NUMERIC:
+            raise QueryTypeError(f"{node.func}() needs a numeric column, "
+                                 f"got {arg_type}")
+        func = node.func
 
-    def bare_refs(self, node):
-        """Column refs not wrapped in an aggregate."""
-        if isinstance(node, ColumnRef):
-            yield node
-        elif isinstance(node, BinaryOp):
-            yield from self.bare_refs(node.left)
-            yield from self.bare_refs(node.right)
-        elif isinstance(node, NotOp):
-            yield from self.bare_refs(node.operand)
+        def fold(row, group):
+            values = [r[source][index] for r in group]
+            if func == "sum":
+                if arg_type == "float64":
+                    return _check_float(reduce(operator.add, values, 0.0))
+                return _check_int(sum(values))
+            if not values:
+                raise EvalError(f"{func}() over zero rows")
+            if func == "avg":
+                return _check_float(float(sum(values)) / len(values))
+            return min(values) if func == "min" else max(values)
+
+        return ("float64" if func == "avg" else arg_type), fold
+
+
+def _leaves(node):
+    """The literals, column refs and aggregates of an expression, left to
+    right; an aggregate's own column is not yielded."""
+    if isinstance(node, BinaryOp):
+        yield from _leaves(node.left)
+        yield from _leaves(node.right)
+    elif isinstance(node, NotOp):
+        yield from _leaves(node.operand)
+    else:
+        yield node
+
+
+def _has_aggregate(node) -> bool:
+    return any(isinstance(leaf, Aggregate) for leaf in _leaves(node))
 
 
 def _ref_text(ref: ColumnRef) -> str:
@@ -142,18 +196,21 @@ def _ref_text(ref: ColumnRef) -> str:
 
 
 def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
-    """Type-check a query against input schemas; raises UnknownInput or
-    QueryTypeError. schemas maps input name -> Schema."""
+    """Type-check a query against input schemas and compile its
+    expressions; raises UnknownInput or QueryTypeError. schemas maps input
+    name -> Schema."""
     an = _Analyzer(ast, schemas)
 
     join_cols = None
     if ast.join is not None:
         join_cols = _resolve_join(an, ast.join)
 
+    where = None
     if ast.where is not None:
-        if an.contains_aggregate(ast.where):
+        if _has_aggregate(ast.where):
             raise QueryTypeError("aggregates are not allowed in WHERE")
-        if an.type_of(ast.where, allow_agg=False) != "bool":
+        typ, where = an.compile(ast.where, allow_agg=False)
+        if typ != "bool":
             raise QueryTypeError("WHERE predicate must be bool")
 
     group_keys = []
@@ -162,14 +219,17 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
         group_keys.append((rc.source, rc.index))
 
     aggregating = bool(ast.group_by) or any(
-        an.contains_aggregate(item.expr) for item in ast.select)
+        _has_aggregate(item.expr) for item in ast.select)
 
     names = []
     types = []
+    select = []
     for item in ast.select:
-        typ = an.type_of(item.expr, allow_agg=True)
+        typ, fn = an.compile(item.expr, allow_agg=True)
         if aggregating:
-            for ref in an.bare_refs(item.expr):
+            for ref in _leaves(item.expr):
+                if not isinstance(ref, ColumnRef):
+                    continue
                 rc = an.resolve(ref)
                 if (rc.source, rc.index) not in group_keys:
                     raise QueryTypeError(
@@ -184,11 +244,12 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
             raise QueryTypeError(f"duplicate output column {name!r}")
         names.append(name)
         types.append(typ)
+        select.append(fn)
 
     output = Schema(tuple(zip(names, types)))
     return QueryPlan(ast=ast, sources=an.sources, output_schema=output,
-                     aggregating=aggregating, resolutions=an.resolutions,
-                     join_cols=join_cols, output_names=tuple(names))
+                     aggregating=aggregating, join_cols=join_cols, where=where,
+                     select=tuple(select), group_keys=tuple(group_keys))
 
 
 def _resolve_join(an: _Analyzer, join: JoinClause):

@@ -25,7 +25,12 @@ _KEYWORDS = {"select", "from", "join", "on", "where", "group", "by", "as",
              "and", "or", "not", "true", "false"}
 _IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _NUM_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_VALID_IDENT = re.compile(r"^[a-z_][a-z0-9_]*$")
+_VALID_IDENT = re.compile(r"[a-z_][a-z0-9_]*")
+# binary operator levels, loosest first; unary minus and primaries bind tighter
+_LEVELS = (("keyword", ("or",)), ("keyword", ("and",)),
+           ("op", ("=", "!=", "<", "<=", ">", ">=")), ("op", ("+", "-")),
+           ("op", ("*", "/")))
+_NOT_LEVEL = 2  # NOT x binds looser than comparison, tighter than AND
 
 
 # --- AST -------------------------------------------------------------------
@@ -199,7 +204,7 @@ class _Parser:
 
     def ident(self) -> str:
         tok = self.take("ident")
-        if not _VALID_IDENT.match(tok.text):
+        if not _VALID_IDENT.fullmatch(tok.text):
             raise ParseError(f"bad identifier {tok.text!r}", tok.line, tok.column)
         return tok.text
 
@@ -250,48 +255,19 @@ class _Parser:
             return ColumnRef(name, self.ident())
         return ColumnRef(None, name)
 
-    # precedence: OR < AND < NOT < comparison < additive < multiplicative < unary
-    def expr(self):
-        left = self.and_expr()
-        while self.accept("keyword", "or"):
-            left = BinaryOp("or", left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.not_expr()
-        while self.accept("keyword", "and"):
-            left = BinaryOp("and", left, self.not_expr())
-        return left
-
-    def not_expr(self):
-        if self.accept("keyword", "not"):
-            return NotOp(self.not_expr())
-        return self.comparison()
-
-    def comparison(self):
-        left = self.additive()
+    def expr(self, level: int = 0):
+        """Left-associative binary operators from _LEVELS[level] up, with
+        NOT as a prefix level between AND and comparison."""
+        if level == len(_LEVELS):
+            return self.unary()
+        if level == _NOT_LEVEL and self.accept("keyword", "not"):
+            return NotOp(self.expr(level))
+        kind, ops = _LEVELS[level]
+        left = self.expr(level + 1)
         tok = self.peek()
-        while tok is not None and tok.kind == "op" and tok.text in ("=", "!=", "<", "<=", ">", ">="):
+        while tok is not None and tok.kind == kind and tok.text in ops:
             self.pos += 1
-            left = BinaryOp(tok.text, left, self.additive())
-            tok = self.peek()
-        return left
-
-    def additive(self):
-        left = self.multiplicative()
-        tok = self.peek()
-        while tok is not None and tok.kind == "op" and tok.text in ("+", "-"):
-            self.pos += 1
-            left = BinaryOp(tok.text, left, self.multiplicative())
-            tok = self.peek()
-        return left
-
-    def multiplicative(self):
-        left = self.unary()
-        tok = self.peek()
-        while tok is not None and tok.kind == "op" and tok.text in ("*", "/"):
-            self.pos += 1
-            left = BinaryOp(tok.text, left, self.unary())
+            left = BinaryOp(tok.text, left, self.expr(level + 1))
             tok = self.peek()
         return left
 

@@ -27,7 +27,7 @@ PERMISSION_KINDS = {
     "ManagePolicy": 0,
 }
 
-_PKG_RE = re.compile(r"^[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+$")
+_PKG_RE = re.compile(r"[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+")
 
 
 def glob_match(pattern: str, text: str) -> bool:
@@ -127,7 +127,7 @@ class Policy:
                         f"principal {principal.name!r} references "
                         f"undefined role {role!r}")
         for pkg in self.whitelist:
-            if not _PKG_RE.match(pkg):
+            if not _PKG_RE.fullmatch(pkg):
                 raise InvalidPolicy(f"bad whitelist entry {pkg!r}")
 
     def permissions_of(self, principal: str) -> list[Permission]:

@@ -162,10 +162,11 @@ def approve(kernel, proposal: Proposal, principal: str) -> MergeResult:
 
 
 def find_proposal(kernel, branch: str) -> Proposal:
-    """Rebuild a Proposal from a run's persisted report (CLI approve path)."""
-    for report in kernel.list_runs():
-        if report.temp_branch == branch and report.outcome.kind == SUCCEEDED_OPEN:
-            diff = kernel.catalog.diff(report.target_branch, branch)
-            return Proposal(branch, report.target_branch, report,
-                            report.verdicts, 1, tuple(diff))
-    raise UnknownRun(f"no reviewed run produced branch {branch!r}")
+    """Rebuild a Proposal from the persisted report of the run that made
+    branch run/<pipeline>/<run_id> (CLI approve path)."""
+    report = kernel.get_run(branch.rsplit("/", 1)[-1])
+    if report.temp_branch != branch or report.outcome.kind != SUCCEEDED_OPEN:
+        raise UnknownRun(f"no reviewed run produced branch {branch!r}")
+    diff = kernel.catalog.diff(report.target_branch, branch)
+    return Proposal(branch, report.target_branch, report,
+                    report.verdicts, 1, tuple(diff))

@@ -18,9 +18,9 @@ from .errors import CorruptSnapshot, InvalidTable, NotFound, StorageFailure
 from .util import atomic_write
 
 COLUMN_TYPES = ("int64", "float64", "string", "bool")
-_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*")
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Schema:
             raise InvalidTable("schema needs at least one column")
         seen = set()
         for name, typ in self.columns:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise InvalidTable(f"bad column name {name!r}")
             if typ not in COLUMN_TYPES:
                 raise InvalidTable(f"bad column type {typ!r} for {name!r}")
@@ -65,7 +65,7 @@ def _normalize_value(value, typ: str):
     if typ == "int64":
         if type(value) is not int:
             raise InvalidTable(f"expected int64, got {value!r}")
-        if not _INT64_MIN <= value <= _INT64_MAX:
+        if not INT64_MIN <= value <= INT64_MAX:
             raise InvalidTable(f"int64 out of range: {value!r}")
         return value
     if typ == "float64":

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from lakekernel.governance import permissive_policy
@@ -36,9 +39,17 @@ def make_kernel(path, principals=("alice", "bob"), whitelist=WL, seed=77,
     return k
 
 
+def child_env() -> dict:
+    """Environment for a child Python that must import this checkout's
+    lakekernel, whether or not PYTHONPATH names it."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src")]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 def count_refs_reads(monkeypatch) -> list:
     """Record every read of a refs.json file from here on."""
-    from pathlib import Path
     real_read_text = Path.read_text
     reads = []
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import child_env
 from lakekernel.cli import main
 
 POLICY = """\
@@ -229,7 +230,7 @@ def test_console_entry_point_subprocess(env):
     proc = subprocess.run(
         [sys.executable, "-m", "lakekernel.cli", "--data-dir", env["data"],
          "--json", "branch", "list"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "main" in json.loads(proc.stdout)["branches"]
 

@@ -237,6 +237,10 @@ def test_whole_table_aggregates_on_empty_input():
     "SELECT max(v) - min(v) AS spread FROM t",
     "SELECT g + count(*) AS x FROM t GROUP BY g",
     "SELECT NOT (count(*) = 0) AS ok FROM t",
+    "SELECT v / 2.0 AS x FROM t",
+    "SELECT v / 2 AS x FROM t",
+    "SELECT g, sum(v) + 0.5 AS s FROM t GROUP BY g",
+    "SELECT avg(v) * 2 AS m FROM t",
 ])
 def test_nested_aggregates_match_oracle(sql, rows):
     ast = parse_query(sql)

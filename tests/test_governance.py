@@ -210,6 +210,8 @@ def test_policy_rejects_wrong_arity():
 def test_policy_rejects_bad_whitelist_entry():
     with pytest.raises(InvalidPolicy):
         parse_policy('whitelist = ["pandas"]\n')
+    with pytest.raises(InvalidPolicy):
+        Policy((), (), ("pandas==2.0\n",))
 
 
 def test_policy_parse_error_on_bad_syntax():

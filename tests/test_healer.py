@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from conftest import make_kernel
@@ -254,6 +256,28 @@ def test_find_proposal_for_cli(healing_kernel):
     assert rebuilt.run_report == result.run_report
     with pytest.raises(UnknownRun):
         find_proposal(kernel, "run/metrics/does-not-exist")
+
+
+def test_find_proposal_reads_one_run_report(healing_kernel, monkeypatch):
+    kernel = healing_kernel
+    for _ in range(4):
+        failed = fail_run(kernel)
+    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+                  budget=1, principal="fixer")
+    assert len(kernel.list_runs()) == 5
+    real_read_text = Path.read_text
+    reads = []
+
+    def read_text(self, *args, **kwargs):
+        if self.parent.name == "runs" and self.suffix == ".json":
+            reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    assert find_proposal(kernel, result.branch).run_report == result.run_report
+    assert len(reads) == 1
+    with pytest.raises(UnknownRun):  # a failed run's temp branch is no proposal
+        find_proposal(kernel, failed.temp_branch)
 
 
 def test_heal_merge_commit_path(healing_kernel):

@@ -58,6 +58,8 @@ def test_schema_invariants():
     with pytest.raises(InvalidTable):
         Schema.of("Bad:int64")  # uppercase
     with pytest.raises(InvalidTable):
+        Schema.of("a\n:int64")  # trailing newline
+    with pytest.raises(InvalidTable):
         Schema.of("a:int32")  # unknown type
 
 
