@@ -2,21 +2,23 @@
 
 Commits are immutable nodes of a history DAG mapping table names to
 snapshot ids; branches are mutable refs advanced only by compare-and-swap
-under an advisory file lock, so the CAS is a real linearization point on
-disk shared by threads and processes alike. Branching and merging move
-references only — they never touch snapshot content.
+under the flock of the refs journal, so the CAS is a real linearization
+point on disk shared by threads and processes alike. Each move appends one
+line `<old|-> <new|-> <branch>` to that journal ("-": absent), and a
+catalog replays only the lines appended since its last read. Branching and
+merging move references only — they never touch snapshot content.
 """
 from __future__ import annotations
 
-import contextlib
-import fcntl
 import hashlib
 import json
 import re
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import (
     BranchExists,
@@ -29,7 +31,7 @@ from .errors import (
     UnknownTable,
 )
 from .store import SnapshotStore, TableData
-from .util import SystemClock, atomic_write
+from .util import Journal, SystemClock, atomic_write
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
@@ -102,6 +104,15 @@ REF_RACED = "ref_raced"
 _MERGE_RETRIES = 5
 
 
+def _apply_moves(refs: dict, chunk: bytes) -> None:
+    for line in chunk.decode("utf-8").splitlines():
+        _old, new, branch = line.split(" ", 2)
+        if new == "-":
+            refs.pop(branch, None)
+        else:
+            refs[branch] = new
+
+
 class Catalog:
     def __init__(self, root: Path, store: SnapshotStore, clock=None):
         self.root = Path(root)
@@ -109,8 +120,10 @@ class Catalog:
         self.clock = clock or SystemClock()
         self._commits_dir = self.root / "commits"
         self._commits_dir.mkdir(parents=True, exist_ok=True)
-        self._refs_path = self.root / "refs.json"
-        self._lock_path = self.root / "refs.lock"
+        self._refs: dict[str, str] = {}
+        self._refs_view = MappingProxyType(self._refs)
+        # the fold holds the dict, not self: no cycle keeps a dropped catalog alive
+        self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
         self._cache: dict[str, Commit] = {}
         self._cache_lock = threading.Lock()
 
@@ -128,38 +141,29 @@ class Catalog:
 
     # -- refs ---------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def _refs_locked(self):
-        with open(self._lock_path, "a+") as fh:  # closing releases the flock
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            yield self._load_refs()
-
     def _cas_ref(self, branch: str, expected: str | None, new: str | None,
                  write: Commit | None = None) -> str | None:
-        """The one ref move: under the refs lock, if `branch` is at `expected`
-        (None: absent), write `write`, set the ref to `new` (None: delete it)
-        and save. Returns the head found; the move happened iff it is expected."""
-        with self._refs_locked() as refs:
-            found = refs.get(branch)
+        """The one ref move: under the journal's flock, if `branch` is at
+        `expected` (None: absent), write `write` and append the move to
+        `new` (None: delete the ref). Returns the head found; the move
+        happened iff it is expected."""
+        with self._journal.locked() as append:
+            found = self._refs.get(branch)
             if found != expected:
                 return found
             if write is not None:
                 self._write_commit(write)
-            if new is None:
-                del refs[branch]
-            else:
-                refs[branch] = new
-            atomic_write(self._refs_path, json.dumps(refs, sort_keys=True).encode("utf-8"))
+            append(f"{expected or '-'} {new or '-'} {branch}".encode("utf-8"))
             return found
 
-    def _load_refs(self) -> dict:
-        try:
-            return json.loads(self._refs_path.read_text("utf-8"))
-        except FileNotFoundError:
-            return {}
+    def _load_refs(self):
+        """The refs as of the journal's end, as a live read-only view: look
+        names up in it, never iterate it (branches() returns a copy)."""
+        self._journal.catch_up()
+        return self._refs_view
 
     def branches(self) -> dict:
-        return self._load_refs()
+        return self._journal.catch_up(lambda: dict(self._refs))
 
     def branch_exists(self, name: str) -> bool:
         return name in self._load_refs()

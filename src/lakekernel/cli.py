@@ -120,8 +120,15 @@ def cmd_branch(ctx: _Ctx) -> int:
 
 def cmd_log(ctx: _Ctx) -> int:
     commits = ctx.kernel().catalog.log(ctx.args.ref)
-    human = "\n".join(f"{c.id[:12]} {c.author:<10} {c.message}" for c in commits)
-    ctx.emit({"commits": [asdict(c) for c in commits]}, human)
+    if ctx.as_json:  # one commit at a time: no string of the whole history is built
+        sep = ""
+        sys.stdout.write('{"commits": [')
+        for c in commits:
+            sys.stdout.write(sep + json.dumps(asdict(c), sort_keys=True))
+            sep = ", "
+        sys.stdout.write("]}\n")
+    else:
+        print("\n".join(f"{c.id[:12]} {c.author:<10} {c.message}" for c in commits))
     return 0
 
 

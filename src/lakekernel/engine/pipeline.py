@@ -17,10 +17,10 @@ import re
 from dataclasses import dataclass
 
 from ..errors import CycleOrForwardRef, ParseError
+from ..governance import PKG_PIN_RE
 from .queries import QueryAst, format_query, parse_query
 
 _IDENT = re.compile(r"[a-z_][a-z0-9_]*")
-_PKG = re.compile(r"[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+")
 _ENV = re.compile(r"runtime=(\S+)\s+packages=\[([^\]]*)\]")
 
 
@@ -183,7 +183,7 @@ def _parse_node(lines: _Lines, name: str, header_line: int) -> NodeSpec:
     runtime = m.group(1)
     packages = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
     for pkg in packages:
-        if not _PKG.fullmatch(pkg):
+        if not PKG_PIN_RE.fullmatch(pkg):
             raise ParseError(f"bad package pin {pkg!r}, want name==version", lineno)
 
     lineno, mat = fields["materialize"]

@@ -100,7 +100,7 @@ class _Analyzer:
             raise QueryTypeError(f"ambiguous column {ref.name!r}, qualify it")
         return hits[0]
 
-    def compile(self, node, allow_agg: bool) -> tuple[str, Callable]:
+    def compile(self, node) -> tuple[str, Callable]:
         """The static type of node and a closure fn(row, group) computing
         its value (see QueryPlan)."""
         if isinstance(node, Literal):
@@ -111,18 +111,15 @@ class _Analyzer:
             source, index = rc.source, rc.index
             return rc.type, lambda row, group: row[source][index]
         if isinstance(node, Aggregate):
-            if not allow_agg:
-                raise QueryTypeError(
-                    f"aggregate {node.func}() only allowed in select items")
             return self.compile_aggregate(node)
         if isinstance(node, NotOp):
-            typ, operand = self.compile(node.operand, allow_agg)
+            typ, operand = self.compile(node.operand)
             if typ != "bool":
                 raise QueryTypeError("NOT needs a bool operand")
             return "bool", lambda row, group: not operand(row, group)
         if isinstance(node, BinaryOp):
-            lt, left = self.compile(node.left, allow_agg)
-            rt, right = self.compile(node.right, allow_agg)
+            lt, left = self.compile(node.left)
+            rt, right = self.compile(node.right)
             if node.op in ("and", "or"):
                 if lt != "bool" or rt != "bool":
                     raise QueryTypeError(f"{node.op.upper()} needs bool operands, "
@@ -209,7 +206,7 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
     if ast.where is not None:
         if _has_aggregate(ast.where):
             raise QueryTypeError("aggregates are not allowed in WHERE")
-        typ, where = an.compile(ast.where, allow_agg=False)
+        typ, where = an.compile(ast.where)
         if typ != "bool":
             raise QueryTypeError("WHERE predicate must be bool")
 
@@ -225,7 +222,7 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
     types = []
     select = []
     for item in ast.select:
-        typ, fn = an.compile(item.expr, allow_agg=True)
+        typ, fn = an.compile(item.expr)
         if aggregating:
             for ref in _leaves(item.expr):
                 if not isinstance(ref, ColumnRef):

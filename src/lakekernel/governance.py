@@ -3,18 +3,19 @@
 Principals hold roles; roles grant pattern-scoped permissions; authorize
 is default-deny and pure given a loaded policy. Every authorization
 decision made through the Governor lands in an append-only audit log, one
-record per governed call.
+record per governed call, numbered by `seq` across every process that
+shares the log.
 """
 from __future__ import annotations
 
 import json
 import re
-import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import Denied, InvalidPolicy
 from .errors import ParseError as PolicyParseError
+from .util import Journal
 
 # permission kind -> number of glob arguments
 PERMISSION_KINDS = {
@@ -27,7 +28,8 @@ PERMISSION_KINDS = {
     "ManagePolicy": 0,
 }
 
-_PKG_RE = re.compile(r"[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+")
+# a package pin, as pipelines declare it and whitelists allow it
+PKG_PIN_RE = re.compile(r"[A-Za-z0-9_.\-]+==[A-Za-z0-9_.\-]+")
 
 
 def glob_match(pattern: str, text: str) -> bool:
@@ -127,7 +129,7 @@ class Policy:
                         f"principal {principal.name!r} references "
                         f"undefined role {role!r}")
         for pkg in self.whitelist:
-            if not _PKG_RE.fullmatch(pkg):
+            if not PKG_PIN_RE.fullmatch(pkg):
                 raise InvalidPolicy(f"bad whitelist entry {pkg!r}")
 
     def permissions_of(self, principal: str) -> list[Permission]:
@@ -277,7 +279,10 @@ class AuditRecord:
 
 @dataclass
 class Governor:
-    """Holds the active policy and records one audit entry per decision.
+    """Holds the active policy and appends one audit line per decision to
+    the journal at `audit_path` (None: record nothing). A line's `seq` is
+    its line number in the file, allocated under the file's flock, so it
+    rises without gaps across threads and processes.
 
     The policy reference is swapped atomically on reload, so concurrent
     authorize calls never observe a half-loaded policy.
@@ -285,22 +290,20 @@ class Governor:
 
     policy: Policy = EMPTY_POLICY
     audit_path: Path | None = None
-    records: list = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def __post_init__(self):
+        self._journal = None if self.audit_path is None else Journal(self.audit_path)
 
     def reload(self, policy: Policy) -> None:
         self.policy = policy
 
     def check(self, principal: str, action: Permission) -> Decision:
         decision = authorize(self.policy, principal, action)
-        with self._lock:
-            record = AuditRecord(len(self.records) + 1, principal, action.text(),
-                                 decision.allowed, decision.reason)
-            self.records.append(record)
-            if self.audit_path is not None:
-                line = json.dumps(asdict(record), sort_keys=True)
-                with open(self.audit_path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+        if self._journal is not None:
+            with self._journal.locked() as append:
+                record = AuditRecord(self._journal.lines + 1, principal, action.text(),
+                                     decision.allowed, decision.reason)
+                append(json.dumps(asdict(record), sort_keys=True).encode("utf-8"))
         return decision
 
     def require(self, principal: str, action: Permission) -> None:
@@ -308,6 +311,12 @@ class Governor:
         if not decision.allowed:
             raise Denied(decision.reason)
 
+    @property
+    def records(self) -> list[AuditRecord]:
+        """Every audit record in the file, in seq order."""
+        if self._journal is None:
+            return []
+        return [AuditRecord(**json.loads(line)) for line in self._journal.entries()]
+
     def records_for(self, principal: str) -> list[AuditRecord]:
-        with self._lock:
-            return [r for r in self.records if r.principal == principal]
+        return [r for r in self.records if r.principal == principal]

@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic file writes, clocks and id sources.
+"""Small shared helpers: atomic file writes, an append-only journal,
+clocks and id sources.
 
 Clocks and id sources are injectable so scripted scenarios and the
 concurrency harness can reproduce identical commit ids and run ids across
@@ -6,6 +7,8 @@ executions; production code uses the system clock and random UUIDs.
 """
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
 import threading
 import time
@@ -20,6 +23,104 @@ def atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+_READ_CHUNK = 1 << 16
+
+
+class Journal:
+    """An append-only file of newline-terminated records, shared by threads
+    and processes.
+
+    Each instance keeps the offset up to which it has read and the number of
+    complete lines before it, and hands every complete chunk it reads, once
+    and in file order, to `apply` (the owner's fold over the records).
+    Readers take no file lock: `catch_up` reads from that offset to the end
+    of the file and leaves a last line with no newline (a writer mid-append,
+    or one that crashed) for later. Writers hold the file's own flock in
+    `locked`, which catches up, cuts off such a torn tail, and appends each
+    record with one write on an O_APPEND descriptor, so records from
+    different writers never interleave. A thread lock keeps the offset and
+    the owner's fold in step when threads share one instance.
+    """
+
+    def __init__(self, path: Path, apply=None):
+        self.path = Path(path)
+        self.lines = 0  # complete lines read or appended by this instance
+        self._apply = apply
+        self._offset = 0
+        self._mutex = threading.Lock()
+
+    def catch_up(self, then=None):
+        """Apply the complete lines appended since the last read, then return
+        then() (if given) under the same thread lock. Takes no flock."""
+        with self._mutex:
+            try:
+                fd = os.open(self.path, os.O_RDONLY)
+            except FileNotFoundError:
+                pass
+            else:
+                try:
+                    self._read(fd)
+                finally:
+                    os.close(fd)
+            return then() if then is not None else None
+
+    def _read(self, fd: int) -> int:
+        """Apply the complete lines from the offset to the end of file;
+        returns the size of the torn tail after them. Caller holds _mutex.
+
+        Reads in bounded chunks, so replaying a long journal in a fresh
+        process never holds a buffer of the whole file."""
+        size = os.fstat(fd).st_size
+        while self._offset < size:
+            want = size - self._offset
+            data = os.pread(fd, min(want, _READ_CHUNK), self._offset)
+            end = data.rfind(b"\n") + 1
+            if not end and len(data) < want:  # a line longer than a chunk
+                data = os.pread(fd, want, self._offset)
+                end = data.rfind(b"\n") + 1
+            if not end:
+                return len(data)
+            self._consume(data[:end])
+        return 0
+
+    def _consume(self, chunk: bytes) -> None:
+        if self._apply is not None:
+            self._apply(chunk)
+        self._offset += len(chunk)
+        self.lines += chunk.count(b"\n")
+
+    @contextlib.contextmanager
+    def locked(self):
+        """Hold the file's flock, caught up to its end with any torn tail
+        cut off; yields append(record), which writes one record (bytes, no
+        newline) and applies it."""
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:  # closing the descriptor releases the flock
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            with self._mutex:
+                if self._read(fd):
+                    os.ftruncate(fd, self._offset)
+
+            def append(record: bytes) -> None:
+                line = record + b"\n"
+                with self._mutex:
+                    if os.write(fd, line) != len(line):
+                        raise OSError(f"short append to {self.path}")
+                    self._consume(line)
+
+            yield append
+        finally:
+            os.close(fd)
+
+    def entries(self) -> list[bytes]:
+        """Every complete line in the file, without its newline."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return []
+        return data[:data.rfind(b"\n") + 1].splitlines()
 
 
 def splitmix64(state: int) -> tuple[int, int]:

@@ -5,7 +5,7 @@ import pytest
 
 from lakekernel.governance import permissive_policy
 from lakekernel.kernel import LakeKernel
-from lakekernel.util import DeterministicIds, FixedClock
+from lakekernel.util import DeterministicIds, FixedClock, Journal
 
 
 def pytest_runtest_logreport(report):
@@ -49,14 +49,15 @@ def child_env() -> dict:
 
 
 def count_refs_reads(monkeypatch) -> list:
-    """Record every read of a refs.json file from here on."""
-    real_read_text = Path.read_text
+    """Record every read of a refs.log journal from here on: each catch-up,
+    and the catch-up under the flock of every ref move."""
+    real_read = Journal._read
     reads = []
 
-    def read_text(self, *args, **kwargs):
-        if self.name == "refs.json":
-            reads.append(self)
-        return real_read_text(self, *args, **kwargs)
+    def read(self, fd):
+        if self.path.name == "refs.log":
+            reads.append(self.path)
+        return real_read(self, fd)
 
-    monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setattr(Journal, "_read", read)
     return reads

@@ -143,6 +143,79 @@ for i in range(10):
     assert len(tables) == 20
 
 
+def _files(root):  # a rewrite by rename shows as a new inode
+    return {p.relative_to(root).as_posix(): (p.stat().st_ino, p.read_bytes())
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_ref_move_appends_one_line_and_rewrites_nothing_else(tmp_path):
+    cat, store = make_catalog(tmp_path)
+    for i in range(30):  # history length must not change what a move writes
+        cat.commit_tables("main", {"a": snap(store, i)}, cat.head("main"), "alice", "x")
+    cat.create_branch("run/duo/8a0d7c3e-5f1b-4c2a-9e6d-0b1f2a3c4d5e", "main")
+    root = tmp_path / "lake"
+    old_head = cat.head("main")
+    sid = snap(store, 99)
+    before = _files(root)
+    commit = cat.commit_tables("main", {"a": sid}, old_head, "alice", "y")
+    after = _files(root)
+    line = f"{old_head} {commit.id} main\n".encode()
+    (ino, old), (ino_after, new) = before.pop("refs.log"), after.pop("refs.log")
+    assert ino_after == ino and new == old + line
+    assert after.pop(f"commits/{commit.id}")[1] == commit.body_json()
+    assert after == before  # no other file written, renamed or removed
+    # a move of the longest-named ref in the lake is still one short line
+    run, = [b for b in cat.branches() if b.startswith("run/")]
+    cat.delete_branch(run)
+    last = (root / "refs.log").read_bytes().splitlines()[-1]
+    assert last == f"{old_head} - {run}".encode() and len(last) < 200
+
+
+def test_torn_refs_log_tail_is_ignored_then_truncated(tmp_path):
+    """A writer that crashed mid-append leaves a line with no newline:
+    readers skip it, and the next ref move cuts it off before appending."""
+    cat, store = make_catalog(tmp_path)
+    c = cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"), "alice", "x")
+    cat.create_branch("dev", "main")
+    log = tmp_path / "lake" / "refs.log"
+    intact = log.read_bytes()
+    with open(log, "ab") as fh:
+        fh.write(f"{c.id} {'e' * 32}".encode())  # torn: no new head, no newline
+    fresh = Catalog(tmp_path / "lake", store, StepClock(10))
+    assert fresh.branches() == {"main": c.id, "dev": c.id}
+    assert cat.head("main") == c.id
+    d = fresh.commit_tables("dev", {"b": snap(store, 2)}, c.id, "bob", "y")
+    assert log.read_bytes() == intact + f"{c.id} {d.id} dev\n".encode()
+    for reader in (cat, Catalog(tmp_path / "lake", store, StepClock())):
+        assert reader.branches() == {"main": c.id, "dev": d.id}
+        assert reader.resolve("dev") == d.id
+
+
+def test_warm_catalog_reads_only_appended_bytes(tmp_path, monkeypatch):
+    import os
+
+    cat, store = make_catalog(tmp_path)
+    for i in range(20):
+        cat.commit_tables("main", {"a": snap(store, i)}, cat.head("main"), "alice", "x")
+    other = Catalog(tmp_path / "lake", store, StepClock(100))  # another process's view
+    log = tmp_path / "lake" / "refs.log"
+    size = log.stat().st_size
+    head = other.head("main")
+    commit = other.commit_tables("main", {"a": snap(store, 50)}, head, "bob", "y")
+    real_pread = os.pread
+    preads = []
+
+    def pread(fd, n, offset):
+        preads.append((n, offset))
+        return real_pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", pread)
+    assert cat.head("main") == commit.id
+    assert preads == [(log.stat().st_size - size, size)]
+    assert cat.head("main") == commit.id  # nothing new: nothing read
+    assert len(preads) == 1
+
+
 def test_branches(tmp_path):
     cat, store = make_catalog(tmp_path)
     cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"), "alice", "x")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +234,29 @@ def test_console_entry_point_subprocess(env):
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "main" in json.loads(proc.stdout)["branches"]
+
+
+def test_audit_seq_rises_without_gaps_across_processes(env):
+    """Two processes each issue eight governed CLI calls at once; every
+    audit line's seq is its line number in the shared log."""
+    script = r"""
+import sys
+from lakekernel.cli import main
+
+data, worker = sys.argv[1], sys.argv[2]
+for i in range(8):
+    assert main(["--data-dir", data, "branch", "create", f"w{worker}-{i}",
+                 "--as", "dana"]) == 0
+"""
+    procs = [subprocess.Popen([sys.executable, "-c", script, env["data"], str(n)],
+                              env=child_env(), stdout=subprocess.DEVNULL)
+             for n in (1, 2)]
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    lines = (Path(env["data"]) / "audit.log").read_text("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+    assert sum(r["action"].startswith("CreateBranch:w") for r in records) == 16
 
 
 def test_env_var_principal(env, capsys, monkeypatch):

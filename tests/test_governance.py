@@ -237,8 +237,8 @@ def test_governor_records_one_audit_record_per_check(tmp_path):
     assert len(lines) == 2
 
 
-def test_governor_require_raises_denied():
-    gov = Governor(EMPTY_POLICY)
+def test_governor_require_raises_denied(tmp_path):
+    gov = Governor(EMPTY_POLICY, audit_path=tmp_path / "audit.log")
     with pytest.raises(Denied):
         gov.require("x", Permission("WriteBranch", ("main",)))
     assert len(gov.records) == 1

@@ -350,6 +350,6 @@ def test_cli_json_bytes_of_a_fixed_clock_lake(tmp_path, monkeypatch):
     audit = (tmp_path / "lake" / "audit.log").read_text("utf-8").splitlines()
     assert audit[-2:] == [
         '{"action": "MergeInto:main", "allowed": true, "principal": "dana", '
-        '"reason": "granted by MergeInto:*", "seq": 1}',
+        '"reason": "granted by MergeInto:*", "seq": 10}',
         '{"action": "MergeInto:main", "allowed": false, "principal": "intern", '
-        '"reason": "\'intern\' holds no permission matching MergeInto:main", "seq": 1}']
+        '"reason": "\'intern\' holds no permission matching MergeInto:main", "seq": 11}']
