@@ -15,6 +15,7 @@ import json
 import re
 import threading
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -221,14 +222,17 @@ class Catalog:
             cached = self._cache.get(commit_id)
         if cached is not None:
             return cached
+        commit = self._read_commit(commit_id)
+        with self._cache_lock:
+            self._cache[commit_id] = commit
+        return commit
+
+    def _read_commit(self, commit_id: str) -> Commit:
         try:
             data = self._commit_path(commit_id).read_bytes()
         except FileNotFoundError:
             raise UnknownRef(f"no commit {commit_id!r}") from None
-        commit = Commit.from_body(commit_id, data)
-        with self._cache_lock:
-            self._cache[commit_id] = commit
-        return commit
+        return Commit.from_body(commit_id, data)
 
     def commit_tables(self, branch: str, changes: dict, expected_head: str,
                       author: str, message: str) -> Commit:
@@ -259,12 +263,21 @@ class Catalog:
 
     def log(self, ref: str) -> list[Commit]:
         """Reverse-chronological first-parent walk down to a root."""
-        commit = self.get_commit(self.resolve(ref))
-        out = [commit]
-        while commit.parents:
-            commit = self.get_commit(commit.parents[0])
-            out.append(commit)
-        return out
+        return list(self.walk(self.resolve(ref)))
+
+    def walk(self, commit_id: str) -> Iterator[Commit]:
+        """The first-parent chain from a resolved commit id, one commit at a
+        time. A commit not in the cache is read without being cached, so a
+        walk of the whole history holds one commit."""
+        while True:
+            with self._cache_lock:
+                commit = self._cache.get(commit_id)
+            if commit is None:
+                commit = self._read_commit(commit_id)
+            yield commit
+            if not commit.parents:
+                return
+            commit_id = commit.parents[0]
 
     def _is_ancestor(self, maybe_ancestor: str, descendant: str) -> bool:
         seen = {descendant}

@@ -61,6 +61,22 @@ class _Ctx:
         elif human:
             print(human)
 
+    def emit_each(self, key: str, items, payload, human, empty: str = "") -> None:
+        """emit({key: [payload(i), ...]}, the human(i) lines or `empty`),
+        written one item at a time: no list or string of all items is built."""
+        out = sys.stdout
+        sep = ""
+        if self.as_json:
+            out.write(f'{{"{key}": [')
+        for item in items:
+            out.write(sep + json.dumps(payload(item), sort_keys=True) if self.as_json
+                      else human(item) + "\n")
+            sep = ", "
+        if self.as_json:
+            out.write("]}\n")
+        elif not sep and empty:
+            print(empty)
+
 
 def _render_table(table: TableData) -> str:
     names = table.schema.names()
@@ -119,16 +135,11 @@ def cmd_branch(ctx: _Ctx) -> int:
 
 
 def cmd_log(ctx: _Ctx) -> int:
-    commits = ctx.kernel().catalog.log(ctx.args.ref)
-    if ctx.as_json:  # one commit at a time: no string of the whole history is built
-        sep = ""
-        sys.stdout.write('{"commits": [')
-        for c in commits:
-            sys.stdout.write(sep + json.dumps(asdict(c), sort_keys=True))
-            sep = ", "
-        sys.stdout.write("]}\n")
-    else:
-        print("\n".join(f"{c.id[:12]} {c.author:<10} {c.message}" for c in commits))
+    catalog = ctx.kernel().catalog
+    # resolve first, so an unknown ref prints the error alone
+    commits = catalog.walk(catalog.resolve(ctx.args.ref))
+    ctx.emit_each("commits", commits, asdict,
+                  lambda c: f"{c.id[:12]} {c.author:<10} {c.message}")
     return 0
 
 
@@ -240,12 +251,11 @@ def cmd_runs(ctx: _Ctx) -> int:
     kernel = ctx.kernel()
     action = ctx.args.action
     if action == "list":
-        reports = kernel.list_runs()
-        payload = [{"run_id": r.run_id, "pipeline": r.pipeline,
-                    "outcome": r.outcome.kind} for r in reports]
-        human = "\n".join(f"{r.run_id} {r.pipeline:<16} {r.outcome.kind}"
-                          for r in reports)
-        ctx.emit({"runs": payload}, human or "no runs")
+        ctx.emit_each("runs", (kernel.get_run(i) for i in kernel.runner.run_ids()),
+                      lambda r: {"run_id": r.run_id, "pipeline": r.pipeline,
+                                 "outcome": r.outcome.kind},
+                      lambda r: f"{r.run_id} {r.pipeline:<16} {r.outcome.kind}",
+                      empty="no runs")
         return 0
     if action == "show":
         report = kernel.get_run(ctx.args.run_id)

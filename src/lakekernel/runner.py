@@ -10,7 +10,9 @@ open for inspection and the target head is untouched.
 from __future__ import annotations
 
 import json
+import re
 import time
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,6 +32,9 @@ VERIFIER_REJECTED = "verifier_rejected"
 DENIED = "denied"
 SUCCEEDED_OPEN = "succeeded_open"  # run-without-merge, verified, awaiting review
 DRY_RUN = "dry_run"
+
+# the form RandomIds and DeterministicIds give; nothing else names a report
+_RUN_ID_RE = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
 
 
 @dataclass(frozen=True)
@@ -104,23 +109,29 @@ class Runner:
     mutation carries its own authorization record."""
 
     def __init__(self, kernel, runs_dir: Path):
-        self.kernel = kernel
+        # a proxy, so the kernel owning this runner is freed by refcount alone
+        self.kernel = weakref.proxy(kernel)
         self._runs_dir = Path(runs_dir)
         self._runs_dir.mkdir(parents=True, exist_ok=True)
 
     # -- reports ----------------------------------------------------------
 
+    def run_ids(self) -> list[str]:
+        """The ids of the persisted run reports, sorted."""
+        return sorted(p.stem for p in self._runs_dir.glob("*.json")
+                      if _RUN_ID_RE.fullmatch(p.stem))
+
     def list_runs(self) -> list[RunReport]:
-        out = []
-        for path in sorted(self._runs_dir.glob("*.json")):
-            out.append(RunReport.from_json(json.loads(path.read_text("utf-8"))))
-        return out
+        return [self.get_run(run_id) for run_id in self.run_ids()]
 
     def get_run(self, run_id: str) -> RunReport:
-        path = self._runs_dir / f"{run_id}.json"
-        if not path.exists():
+        if not _RUN_ID_RE.fullmatch(run_id):
             raise UnknownRun(f"no run {run_id!r}")
-        return RunReport.from_json(json.loads(path.read_text("utf-8")))
+        try:
+            body = (self._runs_dir / f"{run_id}.json").read_text("utf-8")
+        except FileNotFoundError:
+            raise UnknownRun(f"no run {run_id!r}") from None
+        return RunReport.from_json(json.loads(body))
 
     # -- the run protocol ----------------------------------------------------
 

@@ -25,7 +25,8 @@ def atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-_READ_CHUNK = 1 << 16
+# replaying a chunk holds about four copies of it (bytes, slice, text, lines)
+_READ_CHUNK = 1 << 14
 
 
 class Journal:

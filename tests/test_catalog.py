@@ -299,6 +299,17 @@ def test_log_walk(tmp_path):
     assert [c.message for c in log[:4]] == ["c3", "c2", "c1", "c0"]
 
 
+
+def test_walk_yields_the_log_and_caches_nothing(tmp_path):
+    cat, store = make_catalog(tmp_path)
+    for i in range(4):
+        cat.commit_tables("main", {"a": snap(store, i)}, cat.head("main"),
+                          "alice", f"c{i}")
+    fresh = Catalog(tmp_path / "lake", store)
+    walk = fresh.walk(fresh.head("main"))
+    assert [c.id for c in walk] == [c.id for c in cat.log("main")]
+    assert fresh._cache == {}
+
 def test_log_follows_first_parent_through_merges(tmp_path):
     cat, store = make_catalog(tmp_path)
     cat.commit_tables("main", {"a": snap(store, 0)}, cat.head("main"), "a", "base")

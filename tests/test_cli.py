@@ -1,12 +1,20 @@
+import contextlib
+import gc
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, make_kernel
+from lakekernel import cli
 from lakekernel.cli import main
+from lakekernel.runner import RunOptions, Runner
+from lakekernel.store import TableData
 
 POLICY = """\
 whitelist = ["pandas==2.0", "polars==0.88"]
@@ -170,6 +178,51 @@ def test_runs_list_show_cleanup(env, capsys):
     assert code == 0 and body["deleted_branch"] is True
 
 
+def test_bad_run_ids_are_unknown_and_open_no_file(env, capsys, monkeypatch):
+    """A run id that is not a lowercase UUID never becomes a path: every
+    command that looks a run up ends UnknownRun, and the lookup opens no
+    file at all."""
+    data = env["data"]
+    assert main(["--data-dir", data, "verifier", "register", "--name", "x",
+                 "--pipeline", "duo", "--check", "SELECT count(*) > 0 AS ok FROM t_b",
+                 "--as", "dana"]) == 0
+    (env["tmp"] / "evil_run.json").write_text("{}")
+    (env["tmp"] / "patches").mkdir()
+    code, body = run_json(capsys, ["--data-dir", data, "run", env["pipe"],
+                                   "--no-merge", "--as", "dana"])
+    run_id = body["run_id"]
+
+    opened, looking_up = [], []
+
+    def hook(event, args):
+        if event == "open" and looking_up and isinstance(args[0], (str, os.PathLike)):
+            opened.append(Path(os.path.abspath(args[0])))
+
+    sys.addaudithook(hook)  # stays installed; records only inside get_run below
+    real_get_run = Runner.get_run
+
+    def get_run(self, rid):
+        looking_up.append(rid)
+        try:
+            return real_get_run(self, rid)
+        finally:
+            looking_up.pop()
+
+    monkeypatch.setattr(Runner, "get_run", get_run)
+    commands = (["runs", "show"], ["runs", "cleanup", "--as", "dana"],
+                ["verifier", "run", "--run-id"],
+                ["heal", "--patches", str(env["tmp"] / "patches"), "--as", "dana", "--run"])
+    for name in ("../verifiers/x", "../../evil_run", "a/b", "..", run_id.upper(),
+                 run_id + "\n", ""):
+        for command in commands:
+            code, body = run_json(capsys, ["--data-dir", data, *command, name])
+            assert (code, body["error"]) == (1, "UnknownRun"), (command, name)
+    assert opened == []
+    code, body = run_json(capsys, ["--data-dir", data, "runs", "show", run_id])
+    assert code == 0 and body["run_id"] == run_id
+    assert opened == [Path(os.path.abspath(data)) / "runs" / f"{run_id}.json"]
+
+
 def test_heal_and_approve_cli(env, capsys, tmp_path):
     bad = tmp_path / "bad.pipe"
     bad.write_text(PIPE.replace("x + 1", "x / (k - 1)"))
@@ -265,3 +318,83 @@ def test_env_var_principal(env, capsys, monkeypatch):
                                    "SELECT k FROM raw"])
     assert code == 0
     assert body["rows"] == [[1], [2]]
+
+
+class _Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _lake_with_runs(path, runs: int) -> str:
+    kernel = make_kernel(path)
+    table = TableData.build(["k:int64", "x:int64"], [(1, 10), (2, 20)])
+    kernel.commit_tables("main", {"raw": kernel.store.put_snapshot(table)},
+                         kernel.catalog.head("main"), "alice", "seed raw")
+    for _ in range(runs):
+        assert kernel.run(PIPE, "main", RunOptions("alice")).outcome.kind == "merged"
+    return str(path)
+
+
+def _peak_bytes(argv) -> int:
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_and_runs_list_memory_does_not_grow_with_history(tmp_path):
+    """`log` and `runs list` hold one commit or one report at a time: with
+    10x the history, the traced peak of either stays under twice the 1x one."""
+    small = _lake_with_runs(tmp_path / "small", 20)
+    large = _lake_with_runs(tmp_path / "large", 200)
+    for argv in (["log", "main", "--json"], ["runs", "list", "--json"]):
+        _peak_bytes(["--data-dir", small, *argv])  # warm lazy imports and caches
+        base = _peak_bytes(["--data-dir", small, *argv])
+        deep = _peak_bytes(["--data-dir", large, *argv])
+        assert deep < 2 * base, (argv, base, deep)
+
+
+def test_dropped_kernel_is_freed_by_reference_counting(tmp_path, monkeypatch):
+    """No reference cycle keeps a kernel, and so its commit cache, alive
+    after its last user drops it: not one that ran a pipeline and a
+    governed merge, nor one that `cli.main` opened."""
+    opened = []
+    real_kernel = cli.LakeKernel
+
+    def kernel(*args, **kwargs):
+        k = real_kernel(*args, **kwargs)
+        opened.append(weakref.ref(k))
+        return k
+
+    monkeypatch.setattr(cli, "LakeKernel", kernel)
+    gc.collect()
+    gc.disable()
+    try:
+        k = make_kernel(tmp_path / "lake")
+        table = TableData.build(["k:int64", "x:int64"], [(1, 10), (2, 20)])
+        k.commit_tables("main", {"raw": k.store.put_snapshot(table)},
+                        k.catalog.head("main"), "alice", "seed raw")
+        assert k.run(PIPE, "main", RunOptions("alice")).outcome.kind == "merged"
+        k.create_branch("dev", "main", "alice")
+        assert k.merge("dev", "main", "alice").ok
+        dropped = weakref.ref(k)
+        del k
+        assert dropped() is None
+        data = tmp_path / "lake"
+        (data / "policy.toml").write_text(POLICY.replace("dana", "alice"))
+        (tmp_path / "duo.pipe").write_text(PIPE)
+        with contextlib.redirect_stdout(_Discard()):
+            for argv in (["log", "main"], ["runs", "list"],
+                         ["run", str(tmp_path / "duo.pipe"), "--as", "alice"]):
+                assert main(["--data-dir", str(data), *argv, "--json"]) == 0
+        assert len(opened) == 3 and all(ref() is None for ref in opened)
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ outcome kind, verdict files, audit lines, a saved trace, and the `run`,
 frozen, so any change to how a record is encoded shows here first."""
 import contextlib
 import io
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -353,3 +354,68 @@ def test_cli_json_bytes_of_a_fixed_clock_lake(tmp_path, monkeypatch):
         '"reason": "granted by MergeInto:*", "seq": 10}',
         '{"action": "MergeInto:main", "allowed": false, "principal": "intern", '
         '"reason": "\'intern\' holds no permission matching MergeInto:main", "seq": 11}']
+
+
+def _fixed_clock_lake(tmp_path, monkeypatch):
+    """The lake of the test above, rebuilt through the CLI; each kernel the
+    CLI opens draws its run ids from the next seed. Returns the CLI caller."""
+    monkeypatch.setattr(kernel_module, "SystemClock", FixedClock)
+    seeds = itertools.count(77)
+    monkeypatch.setattr(kernel_module, "RandomIds", lambda: DeterministicIds(next(seeds)))
+    data = str(tmp_path / "lake")
+    (tmp_path / "policy.toml").write_text(CLI_POLICY)
+
+    def cli(*argv, as_json=True):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--data-dir", data, *argv] + (["--json"] if as_json else []))
+        return code, out.getvalue()
+
+    def csv(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    assert cli("init", "--policy", str(tmp_path / "policy.toml"))[0] == 0
+    for argv in (["table", "import", "raw", "--csv", csv("raw.csv", "k:int64,x:int64\n1,10\n2,20\n")],
+                 ["branch", "create", "dev"],
+                 ["table", "import", "extra", "--csv", csv("e.csv", "v:int64\n7\n"), "--branch", "dev"],
+                 ["table", "import", "side", "--csv", csv("s.csv", "v:int64\n8\n")],
+                 ["merge", "dev", "--into", "main"],
+                 ["branch", "create", "b1"],
+                 ["table", "import", "raw", "--csv", csv("r1.csv", "k:int64,x:int64\n1,11\n"),
+                  "--branch", "b1"],
+                 ["table", "import", "raw", "--csv", csv("r2.csv", "k:int64,x:int64\n1,12\n")]):
+        assert cli(*argv, "--as", "dana")[0] == 0
+    return cli
+
+
+def test_cli_runs_list_and_human_log_bytes(tmp_path, monkeypatch):
+    """`runs list` in both forms, before and after three runs, and human
+    `log`, on the fixed-clock lake."""
+    cli = _fixed_clock_lake(tmp_path, monkeypatch)
+    assert cli("runs", "list") == (0, '{"runs": []}\n')
+    assert cli("runs", "list", as_json=False) == (0, "no runs\n")
+    assert cli("log", "main", as_json=False) == (0, (
+        C_RAW2[:12] + " dana       import raw\n"
+        + C_MERGE[:12] + " dana       merge into main\n"
+        + C_SIDE[:12] + " dana       import side\n"
+        + C_RAW[:12] + " dana       import raw\n"
+        + ROOT[:12] + " system     root\n"))
+    (tmp_path / "duo.pipe").write_text(PIPE)
+    for flags, code in (([], 0), (["--no-merge"], 0), (["--fail-after", "t_a"], 1)):
+        assert cli("run", str(tmp_path / "duo.pipe"), *flags, "--as", "dana")[0] == code
+    merged, review, failed = ("d0f82525-7762-4d86-b6ac-9c29bc9e2b39",
+                              "ef96e022-e649-4ec6-b95d-a216f8efc151",
+                              "f85507da-4c69-49d2-909a-a85ead7bf074")
+    assert cli("runs", "list") == (0, (
+        '{"runs": [{"outcome": "merged", "pipeline": "duo", "run_id": "' + merged + '"}, '
+        '{"outcome": "succeeded_open", "pipeline": "duo", "run_id": "' + review + '"}, '
+        '{"outcome": "failed_open", "pipeline": "duo", "run_id": "' + failed + '"}]}\n'))
+    assert cli("runs", "list", as_json=False) == (0, (
+        merged + " duo              merged\n"
+        + review + " duo              succeeded_open\n"
+        + failed + " duo              failed_open\n"))
+    assert cli("log", "main", as_json=False)[1].split("\n")[:3] == [
+        "b71361e0d4a0 dana       materialize t_b",
+        "2beab32a663d dana       materialize t_a",
+        C_RAW2[:12] + " dana       import raw"]
