@@ -5,8 +5,10 @@ snapshot ids; branches are mutable refs advanced only by compare-and-swap
 under the flock of the refs journal, so the CAS is a real linearization
 point on disk shared by threads and processes alike. Each move appends one
 line `<old|-> <new|-> <branch>` to that journal ("-": absent), and a
-catalog replays only the lines appended since its last read. Branching and
-merging move references only — they never touch snapshot content.
+catalog replays only the lines appended since its last read. A commit is
+one line `<id> <body>` of a second journal, appended under the refs flock
+before the move that publishes it. Branching and merging move references
+only — they never touch snapshot content.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from .errors import (
     UnknownTable,
 )
 from .store import SnapshotStore, TableData
-from .util import Journal, SystemClock, atomic_write
+# atomic_write is unused here but stays importable: perfbench wraps catalog.atomic_write
+from .util import Journal, SystemClock, atomic_write  # noqa: F401
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
@@ -105,7 +108,7 @@ REF_RACED = "ref_raced"
 _MERGE_RETRIES = 5
 
 
-def _apply_moves(refs: dict, chunk: bytes) -> None:
+def _apply_moves(refs: dict, chunk: bytes, _offset: int) -> None:
     for line in chunk.decode("utf-8").splitlines():
         _old, new, branch = line.split(" ", 2)
         if new == "-":
@@ -114,17 +117,25 @@ def _apply_moves(refs: dict, chunk: bytes) -> None:
             refs[branch] = new
 
 
+def _index_commits(index: dict, chunk: bytes, offset: int) -> None:
+    """Fold `<64-hex id> <body>` lines into {id: (body offset, body length)}."""
+    for line in chunk.split(b"\n")[:-1]:
+        index[line[:64].decode("ascii")] = (offset + 65, len(line) - 65)
+        offset += len(line) + 1
+
+
 class Catalog:
     def __init__(self, root: Path, store: SnapshotStore, clock=None):
         self.root = Path(root)
         self.store = store
         self.clock = clock or SystemClock()
-        self._commits_dir = self.root / "commits"
-        self._commits_dir.mkdir(parents=True, exist_ok=True)
         self._refs: dict[str, str] = {}
         self._refs_view = MappingProxyType(self._refs)
-        # the fold holds the dict, not self: no cycle keeps a dropped catalog alive
+        # the folds hold their dicts, not self: no cycle keeps a dropped catalog alive
         self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
+        self._commit_index: dict[str, tuple[int, int]] = {}
+        self._commits = Journal(self.root / "commits.log",
+                                partial(_index_commits, self._commit_index))
         self._cache: dict[str, Commit] = {}
         self._cache_lock = threading.Lock()
 
@@ -147,7 +158,8 @@ class Catalog:
         """The one ref move: under the journal's flock, if `branch` is at
         `expected` (None: absent), write `write` and append the move to
         `new` (None: delete the ref). Returns the head found; the move
-        happened iff it is expected."""
+        happened iff it is expected. The lock order is refs, then commits,
+        so a reader that sees a ref finds its commit."""
         with self._journal.locked() as append:
             found = self._refs.get(branch)
             if found != expected:
@@ -177,12 +189,12 @@ class Catalog:
 
     def resolve(self, ref: str) -> str:
         """Branch name or commit id -> commit id. No branch is named like a
-        commit id, so a commit id resolves without reading refs."""
+        commit id, so a commit id resolves from commits.log alone."""
         return self._resolve_in({} if _HEX_RE.fullmatch(ref) else self._load_refs(), ref)
 
     def _resolve_in(self, refs: dict, ref: str) -> str:
         if _HEX_RE.fullmatch(ref):
-            if self._commit_path(ref).exists():
+            if self._locate(ref) is not None:
                 return ref
         elif ref in refs:
             return refs[ref]
@@ -207,13 +219,11 @@ class Catalog:
 
     # -- commits --------------------------------------------------------------
 
-    def _commit_path(self, commit_id: str) -> Path:
-        return self._commits_dir / commit_id
-
     def _write_commit(self, commit: Commit) -> None:
-        path = self._commit_path(commit.id)
-        if not path.exists():
-            atomic_write(path, commit.body_json())
+        """Append `<id> <body>` to commits.log unless the id is there."""
+        with self._commits.locked() as append:
+            if commit.id not in self._commit_index:
+                append(commit.id.encode("ascii") + b" " + commit.body_json())
         with self._cache_lock:
             self._cache[commit.id] = commit
 
@@ -227,12 +237,19 @@ class Catalog:
             self._cache[commit_id] = commit
         return commit
 
+    def _locate(self, commit_id: str) -> tuple[int, int] | None:
+        """(offset, length) of a commit's body in commits.log, or None. Only
+        an id not yet indexed catches up the journal."""
+        found = self._commit_index.get(commit_id)
+        if found is None:
+            found = self._commits.catch_up(partial(self._commit_index.get, commit_id))
+        return found
+
     def _read_commit(self, commit_id: str) -> Commit:
-        try:
-            data = self._commit_path(commit_id).read_bytes()
-        except FileNotFoundError:
-            raise UnknownRef(f"no commit {commit_id!r}") from None
-        return Commit.from_body(commit_id, data)
+        found = self._locate(commit_id)
+        if found is None:
+            raise UnknownRef(f"no commit {commit_id!r}")
+        return Commit.from_body(commit_id, self._commits.read_at(*found))
 
     def commit_tables(self, branch: str, changes: dict, expected_head: str,
                       author: str, message: str) -> Commit:

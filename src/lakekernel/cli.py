@@ -68,10 +68,15 @@ class _Ctx:
         sep = ""
         if self.as_json:
             out.write(f'{{"{key}": [')
-        for item in items:
-            out.write(sep + json.dumps(payload(item), sort_keys=True) if self.as_json
-                      else human(item) + "\n")
-            sep = ", "
+        try:
+            for item in items:
+                out.write(sep + json.dumps(payload(item), sort_keys=True) if self.as_json
+                          else human(item) + "\n")
+                sep = ", "
+        except LakeError:
+            if self.as_json:
+                out.write("\n")  # the error object goes on a line of its own
+            raise
         if self.as_json:
             out.write("]}\n")
         elif not sep and empty:

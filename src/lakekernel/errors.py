@@ -101,6 +101,10 @@ class UnknownRun(LakeError):
     pass
 
 
+class CorruptRun(LakeError):
+    """A run report file that is torn, not JSON, or not a report."""
+
+
 class DuplicateName(LakeError):
     pass
 

@@ -13,12 +13,15 @@ import json
 import re
 import time
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .catalog import MergeResult
 from .engine import PipelineSpec, execute_query, format_pipeline, plan
-from .errors import LakeError, UnknownInput, UnknownRun
+from .errors import CorruptRun, LakeError, UnknownInput, UnknownRun
 from .util import atomic_write
 from .verify import VerdictRecord
 
@@ -85,19 +88,42 @@ class RunReport:
         return last or self.base_commit
 
     @staticmethod
-    def from_json(body: dict) -> "RunReport":
-        outcome = _tuples(body["outcome"])
-        if outcome.get("merge") is not None:
-            outcome["merge"] = MergeResult(**_tuples(outcome["merge"]))
-        return RunReport(**{
-            **body, "outcome": Outcome(**outcome),
-            "node_results": tuple(NodeResult(**r) for r in body["node_results"]),
-            "verdicts": tuple(VerdictRecord(**v) for v in body.get("verdicts", ()))})
+    def from_json(body) -> "RunReport":
+        """Raises TypeError where `body` does not fit the record's types."""
+        return _decoder(RunReport)(body)
 
 
-def _tuples(body: dict) -> dict:
-    """A flat record's JSON with its lists turned back into tuples."""
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in body.items()}
+@cache
+def _decoder(hint):
+    """The function from a record's JSON to the type `hint`, built once per
+    type: objects become the nested records and lists become tuples, with
+    every field's type checked."""
+    if get_origin(hint) is UnionType:  # every union in a report is `X | None`
+        arm, = (a for a in get_args(hint) if a is not NoneType)
+        inner = _decoder(arm)
+        return lambda value: None if value is None else inner(value)
+    if is_dataclass(hint):
+        fields = {k: _decoder(t) for k, t in get_type_hints(hint).items()}
+
+        def record(value):
+            if type(value) is not dict or not value.keys() <= fields.keys():
+                raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
+            return hint(**{k: fields[k](v) for k, v in value.items()})
+        return record
+    if get_origin(hint) is tuple:
+        item = _decoder(get_args(hint)[0])
+
+        def items(value):
+            if type(value) is not list:
+                raise TypeError(f"not a list: {value!r:.80}")
+            return tuple(map(item, value))
+        return items
+
+    def leaf(value):
+        if not isinstance(value, hint):
+            raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
+        return value
+    return leaf
 
 
 class _InjectedCrash(Exception):
@@ -128,10 +154,12 @@ class Runner:
         if not _RUN_ID_RE.fullmatch(run_id):
             raise UnknownRun(f"no run {run_id!r}")
         try:
-            body = (self._runs_dir / f"{run_id}.json").read_text("utf-8")
+            return RunReport.from_json(
+                json.loads((self._runs_dir / f"{run_id}.json").read_text("utf-8")))
         except FileNotFoundError:
             raise UnknownRun(f"no run {run_id!r}") from None
-        return RunReport.from_json(json.loads(body))
+        except (ValueError, TypeError) as exc:  # torn, not JSON, or not a report
+            raise CorruptRun(f"run {run_id!r} has a corrupt report: {exc}") from None
 
     # -- the run protocol ----------------------------------------------------
 

@@ -35,7 +35,8 @@ class Journal:
 
     Each instance keeps the offset up to which it has read and the number of
     complete lines before it, and hands every complete chunk it reads, once
-    and in file order, to `apply` (the owner's fold over the records).
+    and in file order, to `apply(chunk, offset)` (the owner's fold over the
+    records; `offset` is where the chunk starts in the file).
     Readers take no file lock: `catch_up` reads from that offset to the end
     of the file and leaves a last line with no newline (a writer mid-append,
     or one that crashed) for later. Writers hold the file's own flock in
@@ -88,7 +89,7 @@ class Journal:
 
     def _consume(self, chunk: bytes) -> None:
         if self._apply is not None:
-            self._apply(chunk)
+            self._apply(chunk, self._offset)
         self._offset += len(chunk)
         self.lines += chunk.count(b"\n")
 
@@ -112,6 +113,15 @@ class Journal:
                     self._consume(line)
 
             yield append
+        finally:
+            os.close(fd)
+
+    def read_at(self, offset: int, size: int) -> bytes:
+        """`size` bytes of the file from `offset`; takes no lock, since
+        complete lines are never rewritten."""
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            return os.pread(fd, size, offset)
         finally:
             os.close(fd)
 

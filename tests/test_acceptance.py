@@ -375,7 +375,9 @@ def _deterministic_session(path, seed):
     snapshot_ids = sorted(
         p.parent.name + p.name
         for p in (path / "objects").glob("*/*"))
-    commit_ids = sorted(p.name for p in (path / "commits").glob("*"))
+    commit_ids = sorted(line[:64] for line in
+                        (path / "commits.log").read_text("utf-8").splitlines())
+    assert len(commit_ids) > 3
     outcomes = [merged.outcome.kind, merged.outcome.merge.kind,
                 faulted.outcome.kind]
     node_commits = [r.commit_id for rep in (merged, faulted)

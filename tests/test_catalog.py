@@ -17,7 +17,7 @@ from lakekernel.errors import (
     UnknownTable,
 )
 from lakekernel.store import SnapshotStore, TableData
-from lakekernel.util import StepClock
+from lakekernel.util import FixedClock, StepClock
 
 
 def make_catalog(tmp_path):
@@ -52,7 +52,9 @@ def test_commit_id_is_stable_hash_of_body(tmp_path):
     cat, store = make_catalog(tmp_path)
     c = cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"),
                           "alice", "msg")
-    on_disk = (tmp_path / "lake" / "commits" / c.id).read_bytes()
+    line = (tmp_path / "lake" / "commits.log").read_bytes().splitlines()[-1]
+    assert line[:65] == f"{c.id} ".encode()
+    on_disk = line[65:]
     assert hashlib.sha256(on_disk).hexdigest() == c.id
     body = json.loads(on_disk)
     assert sorted(body) == ["author", "message", "parents", "tables", "timestamp"]
@@ -162,7 +164,9 @@ def test_ref_move_appends_one_line_and_rewrites_nothing_else(tmp_path):
     line = f"{old_head} {commit.id} main\n".encode()
     (ino, old), (ino_after, new) = before.pop("refs.log"), after.pop("refs.log")
     assert ino_after == ino and new == old + line
-    assert after.pop(f"commits/{commit.id}")[1] == commit.body_json()
+    (ino, old), (ino_after, new) = before.pop("commits.log"), after.pop("commits.log")
+    assert ino_after == ino
+    assert new == old + f"{commit.id} ".encode() + commit.body_json() + b"\n"
     assert after == before  # no other file written, renamed or removed
     # a move of the longest-named ref in the lake is still one short line
     run, = [b for b in cat.branches() if b.startswith("run/")]
@@ -189,6 +193,95 @@ def test_torn_refs_log_tail_is_ignored_then_truncated(tmp_path):
     for reader in (cat, Catalog(tmp_path / "lake", store, StepClock())):
         assert reader.branches() == {"main": c.id, "dev": d.id}
         assert reader.resolve("dev") == d.id
+
+
+def test_torn_commits_log_tail_is_ignored_then_truncated(tmp_path):
+    cat, store = make_catalog(tmp_path)
+    c = cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"), "alice", "x")
+    log = tmp_path / "lake" / "commits.log"
+    intact = log.read_bytes()
+    with open(log, "ab") as fh:
+        fh.write(f"{'e' * 64} {{\"author\"".encode())  # torn: no body end, no newline
+    fresh = Catalog(tmp_path / "lake", store, StepClock(10))
+    assert fresh.get_commit(c.id) == c
+    with pytest.raises(UnknownRef):
+        fresh.resolve("e" * 64)
+    d = fresh.commit_tables("main", {"b": snap(store, 2)}, c.id, "bob", "y")
+    assert log.read_bytes() == intact + f"{d.id} ".encode() + d.body_json() + b"\n"
+    for reader in (cat, Catalog(tmp_path / "lake", store, StepClock())):
+        assert reader.get_commit(d.id) == d
+        assert reader.log("main") == [d, c, cat.get_commit(c.parents[0])]
+
+
+def test_catalog_reads_a_commit_written_after_its_last_catch_up(tmp_path, monkeypatch):
+    """A commit another catalog appended is found by catching up commits.log
+    alone: resolving and reading it by id never reads refs.log."""
+    cat, store = make_catalog(tmp_path)
+    first = cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"), "alice", "x")
+    other = Catalog(tmp_path / "lake", store, StepClock(100))
+    assert other.get_commit(first.id) == first  # caught up to the end
+    c = cat.commit_tables("main", {"a": snap(store, 2)}, first.id, "alice", "y")
+    reads = count_refs_reads(monkeypatch)
+    assert other.resolve(c.id) == c.id
+    assert other.get_commit(c.id) == c
+    assert reads == []
+
+
+def test_rewriting_a_commit_appends_nothing(tmp_path):
+    root = tmp_path / "lake"
+    store = SnapshotStore(root)
+    cat = Catalog(root, store, FixedClock(0))
+    cat.init()
+    assert not (root / "commits").exists()  # one journal, no file per commit
+    cat.create_branch("dev", "main")
+    head, sid = cat.head("main"), snap(store, 1)
+    c = cat.commit_tables("main", {"a": sid}, head, "alice", "x")
+    log = root / "commits.log"
+    size = log.stat().st_size
+    d = cat.commit_tables("dev", {"a": sid}, head, "alice", "x")  # the same body
+    assert d.id == c.id and log.stat().st_size == size
+    other = Catalog(root, store, FixedClock(0))  # has read nothing yet
+    other._write_commit(c)
+    assert log.stat().st_size == size
+    assert len(log.read_bytes().splitlines()) == 2  # root and c
+
+
+def test_threads_on_two_catalogs_append_each_commit_once(tmp_path):
+    """Threads sharing one catalog and threads on a second one commit at
+    once; commits.log ends with exactly one line per commit, and a fresh
+    catalog reads every one of them."""
+    import sys
+
+    cat, store = make_catalog(tmp_path)
+    cats = [cat, Catalog(tmp_path / "lake", store, StepClock(1000))]
+    made = [[] for _ in range(6)]
+
+    def writer(i):
+        c = cats[i % 2]
+        branch = f"w{i}"
+        head = c.create_branch(branch, "main")
+        for n in range(15):
+            head = c.commit_tables(branch, {"t": snap(store, i * 100 + n)}, head,
+                                   f"w{i}", "x").id
+            made[i].append(head)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    ids = [line[:64] for line in
+           (tmp_path / "lake" / "commits.log").read_text().splitlines()]
+    assert len(ids) == len(set(ids)) == 1 + 6 * 15
+    fresh = Catalog(tmp_path / "lake", store, StepClock())
+    for i, heads in enumerate(made):
+        assert [c.id for c in fresh.log(f"w{i}")][:15] == heads[::-1]
 
 
 def test_warm_catalog_reads_only_appended_bytes(tmp_path, monkeypatch):

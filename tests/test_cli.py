@@ -223,6 +223,35 @@ def test_bad_run_ids_are_unknown_and_open_no_file(env, capsys, monkeypatch):
     assert opened == [Path(os.path.abspath(data)) / "runs" / f"{run_id}.json"]
 
 
+def test_corrupt_run_reports_are_errors_that_name_the_run(env, capsys):
+    """A report that is torn, not JSON or not shaped like a report ends
+    `runs show` and `runs list` with exit 1 and a CorruptRun error naming
+    the run, whose JSON object is the last line on stdout."""
+    data = env["data"]
+    code, body = run_json(capsys, ["--data-dir", data, "run", env["pipe"], "--as", "dana"])
+    run_id = body["run_id"]
+    path = Path(data) / "runs" / f"{run_id}.json"
+    good = path.read_bytes()
+    report = json.loads(good)
+    wrong_types = [{**report, "outcome": 5}, {**report, "pipeline": 7},
+                   {**report, "node_results": [{"node": "t_a", "status": None}]},
+                   {**report, "outcome": {**report["outcome"], "merge": "x"}},
+                   {**report, "verdicts": {}}, {**report, "extra": 1}]
+    bodies = [b"{}", good[:len(good) // 2], b"\xff", b"[]",
+              *(json.dumps(r).encode() for r in wrong_types)]
+    for bad in bodies:
+        path.write_bytes(bad)
+        for command in (["runs", "show", run_id], ["runs", "list"]):
+            code, body = run_json(capsys, ["--data-dir", data, *command])
+            assert (code, body["error"]) == (1, "CorruptRun"), (command, bad)
+            assert run_id in body["reason"]
+        assert main(["--data-dir", data, "runs", "list"]) == 1
+        assert "CorruptRun" in capsys.readouterr().err
+    path.write_bytes(good)
+    code, body = run_json(capsys, ["--data-dir", data, "runs", "list"])
+    assert code == 0 and [r["run_id"] for r in body["runs"]] == [run_id]
+
+
 def test_heal_and_approve_cli(env, capsys, tmp_path):
     bad = tmp_path / "bad.pipe"
     bad.write_text(PIPE.replace("x + 1", "x / (k - 1)"))
