@@ -119,7 +119,3 @@ class StaleProposal(LakeError):
 
 class MergeRefused(LakeError):
     """Manual merge blocked by a recorded verifier failure on the source head."""
-
-
-class TooLarge(LakeError):
-    """Trace exceeds the brute-force bound of the serializability checker."""

@@ -280,30 +280,29 @@ class AuditRecord:
 @dataclass
 class Governor:
     """Holds the active policy and appends one audit line per decision to
-    the journal at `audit_path` (None: record nothing). A line's `seq` is
-    its line number in the file, allocated under the file's flock, so it
-    rises without gaps across threads and processes.
+    the journal at `audit_path`. A line's `seq` is its line number in the
+    file, allocated under the file's flock, so it rises without gaps across
+    threads and processes.
 
     The policy reference is swapped atomically on reload, so concurrent
     authorize calls never observe a half-loaded policy.
     """
 
-    policy: Policy = EMPTY_POLICY
-    audit_path: Path | None = None
+    policy: Policy
+    audit_path: Path
 
     def __post_init__(self):
-        self._journal = None if self.audit_path is None else Journal(self.audit_path)
+        self._journal = Journal(self.audit_path)
 
     def reload(self, policy: Policy) -> None:
         self.policy = policy
 
     def check(self, principal: str, action: Permission) -> Decision:
         decision = authorize(self.policy, principal, action)
-        if self._journal is not None:
-            with self._journal.locked() as append:
-                record = AuditRecord(self._journal.lines + 1, principal, action.text(),
-                                     decision.allowed, decision.reason)
-                append(json.dumps(asdict(record), sort_keys=True).encode("utf-8"))
+        with self._journal.locked() as append:
+            record = AuditRecord(self._journal.lines + 1, principal, action.text(),
+                                 decision.allowed, decision.reason)
+            append(json.dumps(asdict(record), sort_keys=True).encode("utf-8"))
         return decision
 
     def require(self, principal: str, action: Permission) -> None:
@@ -314,8 +313,6 @@ class Governor:
     @property
     def records(self) -> list[AuditRecord]:
         """Every audit record in the file, in seq order."""
-        if self._journal is None:
-            return []
         return [AuditRecord(**json.loads(line)) for line in self._journal.entries()]
 
     def records_for(self, principal: str) -> list[AuditRecord]:

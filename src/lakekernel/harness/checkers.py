@@ -2,17 +2,15 @@
 
 Isolation: every multi-table read group must be explainable by a single
 commit's table map — a mix of versions that no commit ever contained is a
-torn read. Serializability: some permutation of the successful merges,
-applied sequentially to the initial state, must reproduce the final
-table map of the target branch (brute force, bounded)."""
+torn read. Serializability: some order of the successful merges, applied
+sequentially to the initial state, must reproduce the final table map of
+the target branch. Merges are blind writes of whole tables, so the check
+is an exact peel of merges from the end of the order."""
 from __future__ import annotations
 
-from itertools import permutations
+from heapq import heapify, heappop, heappush
 
-from ..errors import TooLarge
 from .trace import Trace
-
-SERIALIZABILITY_BOUND = 6
 
 
 def check_isolation(trace: Trace) -> list[dict]:
@@ -33,28 +31,44 @@ def check_isolation(trace: Trace) -> list[dict]:
     return violations
 
 
-def _merge_deltas(trace: Trace) -> list[tuple[int, dict]]:
-    out = []
-    for event in trace.events:
-        delta = event.fields.get("published_delta")
-        if delta:
-            out.append((event.seq, delta))
-    return out
-
-
 def check_serializability(trace: Trace) -> tuple[bool, list[int] | None]:
     """(True, witness seq order) if the merges serialize, (False, None) if
-    no permutation reproduces the final state. Raises TooLarge beyond the
-    brute-force bound."""
-    merges = _merge_deltas(trace)
-    if len(merges) > SERIALIZABILITY_BOUND:
-        raise TooLarge(f"{len(merges)} merges exceed the bound "
-                       f"of {SERIALIZABILITY_BOUND}")
-    final = dict(trace.final_map)
-    for order in permutations(merges):
-        state = dict(trace.initial_map)
-        for _, delta in order:
-            state.update(delta)
-        if state == final:
-            return True, [seq for seq, _ in order]
-    return False, None
+    no order reproduces the final state.
+
+    A table no merge writes must be the same (or absent) in the initial
+    and final maps. Then the highest-seq merge whose writes to still
+    unsettled tables all equal the final map is put last, and its tables
+    are settled, until no merge is left. Moving such a merge to the end of
+    any valid order keeps the order valid, so if none qualifies, no order
+    exists. Picking the highest seq returns the recorded order whenever it
+    is a witness."""
+    initial, final = trace.initial_map, trace.final_map
+    deltas = {e.seq: e.fields["published_delta"] for e in trace.events
+              if e.fields.get("published_delta")}
+    written = {table for delta in deltas.values() for table in delta}
+    if any(initial.get(t) != final.get(t)
+           for t in (initial.keys() | final.keys()) - written):
+        return False, None
+    # a merge may go last once every table it wrote a non-final value to
+    # is settled; blocked counts those tables, waiting maps them to merges
+    blocked, waiting = {}, {}
+    for seq, delta in deltas.items():
+        stale = [t for t, sid in delta.items() if final.get(t) != sid]
+        blocked[seq] = len(stale)
+        for table in stale:
+            waiting.setdefault(table, []).append(seq)
+    ready = [-seq for seq, n in blocked.items() if n == 0]  # max-heap by seq
+    heapify(ready)
+    settled, peeled = set(), []
+    while ready:
+        seq = -heappop(ready)
+        peeled.append(seq)
+        for table in deltas[seq].keys() - settled:
+            settled.add(table)
+            for other in waiting.pop(table, ()):
+                blocked[other] -= 1
+                if not blocked[other]:
+                    heappush(ready, -other)
+    if len(peeled) < len(deltas):
+        return False, None
+    return True, peeled[::-1]

@@ -13,7 +13,7 @@ from ..runner import FAILED_OPEN, MERGED, RunOptions
 from ..store import TableData
 from ..util import DeterministicIds, FixedClock
 from .checkers import check_isolation
-from .trace import Trace, TraceRecorder
+from .trace import Trace, TraceRecorder, published_delta
 
 TWO_NODE_PIPELINE = """\
 pipeline two_node
@@ -116,13 +116,10 @@ def _transactional_variant(data_dir) -> tuple[Trace, bool]:
     head_before = kernel.catalog.head("main")
     report1 = kernel.run(TWO_NODE_PIPELINE, "main", RunOptions(principal="runner1"))
     head_after = _register_head(kernel, recorder)
-    delta = {}
-    for result in report1.node_results:
-        commit = kernel.catalog.get_commit(result.commit_id)
-        delta[result.node] = commit.tables[result.node]
     recorder.record(0, "run_success", {
         "outcome": report1.outcome.kind, "head_before": head_before,
-        "head_after": head_after, "published_delta": delta})
+        "head_after": head_after,
+        "published_delta": published_delta(kernel.catalog, report1)})
     published_atomically = (
         report1.outcome.kind == MERGED and report1.outcome.merge.ok
         and set(kernel.catalog.diff(head_before, head_after))

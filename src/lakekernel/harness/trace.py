@@ -42,6 +42,14 @@ class Trace:
         return Trace.from_json(json.loads(Path(path).read_text("utf-8")))
 
 
+def published_delta(catalog, report) -> dict:
+    """{node: snapshot id} that a merged run published, read from each
+    node's commit on the run's temp branch: the merge's blind writes, as
+    check_serializability consumes them."""
+    return {result.node: catalog.get_commit(result.commit_id).tables[result.node]
+            for result in report.node_results}
+
+
 class TraceRecorder:
     """Thread-safe builder handing out global sequence numbers."""
 

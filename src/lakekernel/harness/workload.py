@@ -15,7 +15,7 @@ from ..kernel import LakeKernel
 from ..runner import MERGED, RunOptions
 from ..store import TableData
 from ..util import DeterministicIds, FixedClock, SplitMix64, splitmix64
-from .trace import Trace, TraceRecorder
+from .trace import Trace, TraceRecorder, published_delta
 
 OPS = ("read_session_scan", "run_pipeline", "run_pipeline_with_fault",
        "branch_and_merge")
@@ -119,11 +119,7 @@ class _Agent:
         if report.outcome.kind == MERGED and merge is not None and merge.ok:
             fields["merge_kind"] = merge.kind
             fields["merge_commit"] = merge.commit_id
-            delta = {}
-            for result in report.node_results:
-                commit = self.kernel.catalog.get_commit(result.commit_id)
-                delta[result.node] = commit.tables[result.node]
-            fields["published_delta"] = delta
+            fields["published_delta"] = published_delta(self.kernel.catalog, report)
             self.recorder.register_commit(
                 merge.commit_id, self.kernel.catalog.table_map(merge.commit_id))
         elif merge is not None:

@@ -72,10 +72,6 @@ class BaselineAgent(RepairAgent):
         return self.patches[attempt]
 
 
-def baseline_agent(patches) -> BaselineAgent:
-    return BaselineAgent(list(patches))
-
-
 @dataclass(frozen=True)
 class Attempt:
     index: int

@@ -278,6 +278,7 @@ def test_heal_and_approve_cli(env, capsys, tmp_path):
 
 
 def test_simulate_and_check_cli(env, capsys, tmp_path):
+    from lakekernel.harness import Trace
     out = tmp_path / "trace.json"
     code, body = run_json(capsys, ["--data-dir", env["data"], "simulate",
                                    "--agents", "2", "--ops", "10", "--seed", "4",
@@ -288,6 +289,25 @@ def test_simulate_and_check_cli(env, capsys, tmp_path):
                                    "--trace", str(out)])
     assert code == 0
     assert body["isolation"]["ok"] is True
+    # the merge count varies with how the agents' threads interleave
+    merges = [e.seq for e in Trace.load(out).events if e.fields.get("published_delta")]
+    assert body["serializability"]["ok"] is True
+    assert sorted(body["serializability"]["witness"]) == merges
+
+
+def test_check_flags_unserializable_trace(env, capsys, tmp_path):
+    from lakekernel.harness import Trace, TraceEvent
+    # both merges wrote t, but the final map holds a value neither wrote
+    trace = Trace({}, "main", {"t": "s0"}, {"t": "s9"}, {},
+                  [TraceEvent(1, 0, "merge", {"published_delta": {"t": "s1"}}),
+                   TraceEvent(2, 1, "merge", {"published_delta": {"t": "s2"}})])
+    path = tmp_path / "unserializable.json"
+    trace.save(path)
+    code, body = run_json(capsys, ["--data-dir", env["data"], "check",
+                                   "--trace", str(path)])
+    assert code == 1
+    assert body["isolation"]["ok"] is True
+    assert body["serializability"] == {"ok": False, "witness": None}
 
 
 def test_check_flags_torn_trace(env, capsys, tmp_path):

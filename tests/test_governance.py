@@ -244,12 +244,12 @@ def test_governor_require_raises_denied(tmp_path):
     assert len(gov.records) == 1
 
 
-def test_reload_swaps_atomically():
+def test_reload_swaps_atomically(tmp_path):
     """Concurrent authorize calls see either the old or the new policy,
     never a half-loaded state."""
     allow = permissive_policy(["p"])
     deny = EMPTY_POLICY
-    gov = Governor(allow)
+    gov = Governor(allow, audit_path=tmp_path / "audit.log")
     action = Permission("WriteBranch", ("main",))
     stop = threading.Event()
     bad = []

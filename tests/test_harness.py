@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from lakekernel.errors import LakeError, TooLarge
+from lakekernel.errors import LakeError
 from lakekernel.harness import (
     Trace,
     TraceEvent,
@@ -148,11 +149,38 @@ def test_serializability_violation_detected():
     assert not ok and witness is None
 
 
-def test_serializability_too_large():
-    events = [_merge_event(i, {f"t{i}": "s"}) for i in range(7)]
-    trace = Trace({}, "main", {}, {}, {}, events)
-    with pytest.raises(TooLarge):
-        check_serializability(trace)
+def _replay(initial, trace, witness) -> dict:
+    deltas = {e.seq: e.fields["published_delta"] for e in trace.events}
+    assert sorted(witness) == sorted(deltas)
+    state = dict(initial)
+    for seq in witness:
+        state.update(deltas[seq])
+    return state
+
+
+def test_serializability_thousand_merges():
+    """1000 merges, far past what a permutation search can try: one
+    serializable trace, then the same trace with its final map corrupted,
+    both answered in under a second."""
+    rng = random.Random(1031)
+    tables = [f"t{i}" for i in range(20)]
+    initial = {t: "s0" for t in tables[:10]}
+    deltas = [{t: f"s{i + 1}" for t in rng.sample(tables, rng.randint(1, 3))}
+              for i in range(1000)]
+    order = list(range(len(deltas)))
+    rng.shuffle(order)
+    final = dict(initial)
+    for i in order:
+        final.update(deltas[i])
+    events = [_merge_event(i + 1, d) for i, d in enumerate(deltas)]
+    started = time.perf_counter()
+    trace = Trace({}, "main", initial, final, {}, events)
+    ok, witness = check_serializability(trace)
+    assert ok and _replay(initial, trace, witness) == final
+    corrupt = dict(final, t3="poison")
+    ok, witness = check_serializability(Trace({}, "main", initial, corrupt, {}, events))
+    assert not ok and witness is None
+    assert time.perf_counter() - started < 1.0
 
 
 def serializability_oracle(initial, deltas, final) -> bool:
@@ -170,14 +198,17 @@ def serializability_oracle(initial, deltas, final) -> bool:
 
 
 def test_serializability_agrees_with_independent_oracle():
-    """Dual-oracle agreement on 100 random small traces."""
+    """Dual-oracle agreement on 500 random traces of up to 7 merges, some
+    with a final map that drops a table or holds a value no merge wrote;
+    every witness is a permutation of the merges that replays to the final
+    map."""
     rng = random.Random(2718)
     tables = [f"t{i}" for i in range(4)]
     snaps = [f"s{i}" for i in range(6)]
-    for _ in range(100):
+    for _ in range(500):
         initial = {t: rng.choice(snaps) for t in tables if rng.random() < 0.7}
         deltas = []
-        for _ in range(rng.randint(0, 5)):
+        for _ in range(rng.randint(0, 7)):
             deltas.append({t: rng.choice(snaps) for t in
                            rng.sample(tables, rng.randint(1, 2))})
         final = dict(initial)
@@ -185,12 +216,19 @@ def test_serializability_agrees_with_independent_oracle():
         rng.shuffle(order)
         for i in order:
             final.update(deltas[i])
-        if rng.random() < 0.4 and tables:  # corrupt some final states
+        corruption = rng.random()
+        if corruption < 0.2:
             final[rng.choice(tables)] = "poison"
+        elif corruption < 0.4:
+            final.pop(rng.choice(tables), None)
         trace = Trace({}, "main", initial, final, {},
                       [_merge_event(i + 1, d) for i, d in enumerate(deltas)])
-        ok, _ = check_serializability(trace)
+        ok, witness = check_serializability(trace)
         assert ok == serializability_oracle(initial, deltas, final)
+        if ok:
+            assert _replay(initial, trace, witness) == final
+        else:
+            assert witness is None
 
 
 def test_workload_traces_serialize(tmp_path):

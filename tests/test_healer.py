@@ -8,11 +8,11 @@ from lakekernel.engine import parse_pipeline
 from lakekernel.errors import Denied, StaleProposal, UnknownRun
 from lakekernel.governance import parse_policy
 from lakekernel.healer import (
+    BaselineAgent,
     GaveUp,
     Proposal,
     RepairAgent,
     approve,
-    baseline_agent,
     failure_context,
     find_proposal,
     heal,
@@ -98,7 +98,7 @@ def test_heal_repairs_div_by_zero_in_one_attempt(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
     main_before = kernel.catalog.head("main")
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=3, principal="fixer")
     assert isinstance(result, Proposal)
     assert result.attempts == 1
@@ -114,7 +114,7 @@ def test_heal_repairs_div_by_zero_in_one_attempt(healing_kernel):
 def test_heal_tries_patches_in_order(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    agent = baseline_agent([parse_pipeline(STILL_BROKEN), parse_pipeline(GUARDED)])
+    agent = BaselineAgent([parse_pipeline(STILL_BROKEN), parse_pipeline(GUARDED)])
     result = heal(kernel, failed.run_id, agent, budget=5, principal="fixer")
     assert isinstance(result, Proposal)
     assert result.attempts == 2
@@ -125,7 +125,7 @@ def test_heal_budget_zero_gives_up_without_side_effects(healing_kernel):
     failed = fail_run(kernel)
     refs = kernel.catalog.branches()
     runs = len(kernel.list_runs())
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=0, principal="fixer")
     assert isinstance(result, GaveUp)
     assert kernel.catalog.branches() == refs
@@ -135,7 +135,7 @@ def test_heal_budget_zero_gives_up_without_side_effects(healing_kernel):
 def test_heal_empty_patch_list_gives_up_immediately(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([]), budget=3,
+    result = heal(kernel, failed.run_id, BaselineAgent([]), budget=3,
                   principal="fixer")
     assert isinstance(result, GaveUp)
     assert [a.result for a in result.history] == ["gave_up"]
@@ -146,7 +146,7 @@ def test_baseline_agent_is_deterministic(healing_kernel):
     failed = fail_run(kernel)
     histories = []
     for _ in range(2):
-        agent = baseline_agent([parse_pipeline(STILL_BROKEN)])
+        agent = BaselineAgent([parse_pipeline(STILL_BROKEN)])
         result = heal(kernel, failed.run_id, agent, budget=2, principal="fixer")
         assert isinstance(result, GaveUp)
         histories.append([(a.index, a.result) for a in result.history])
@@ -158,7 +158,7 @@ def test_non_whitelisted_patch_rejected_and_counted(healing_kernel):
     failed = fail_run(kernel)
     main_before = kernel.catalog.head("main")
     refs_before = kernel.catalog.branches()
-    agent = baseline_agent([parse_pipeline(EVIL_ENV), parse_pipeline(GUARDED)])
+    agent = BaselineAgent([parse_pipeline(EVIL_ENV), parse_pipeline(GUARDED)])
     result = heal(kernel, failed.run_id, agent, budget=2, principal="fixer")
     assert isinstance(result, Proposal)
     assert result.attempts == 2  # the evil attempt consumed budget
@@ -200,7 +200,7 @@ def test_adversarial_agent_cannot_mutate_target(healing_kernel):
 def test_agent_capabilities_confined_to_run_pattern(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
          budget=1, principal="fixer")
     allowed = [r for r in kernel.governor.records_for("fixer") if r.allowed]
     for record in allowed:
@@ -212,7 +212,7 @@ def test_agent_capabilities_confined_to_run_pattern(healing_kernel):
 def test_approve_requires_merge_permission(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     with pytest.raises(Denied):
         approve(kernel, result, "fixer")
@@ -223,7 +223,7 @@ def test_approve_requires_merge_permission(healing_kernel):
 def test_stale_proposal_when_branch_advances(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
     kernel.commit_tables(result.branch, {"sneaky": sid},
@@ -235,7 +235,7 @@ def test_stale_proposal_when_branch_advances(healing_kernel):
 def test_approve_propagates_conflicts(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     # main's ratios table changes after the proposal was verified
     other = kernel.run(GUARDED.replace("x / (k - 1)", "x * 1000"), "main",
@@ -249,7 +249,7 @@ def test_approve_propagates_conflicts(healing_kernel):
 def test_find_proposal_for_cli(healing_kernel):
     kernel = healing_kernel
     failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     rebuilt = find_proposal(kernel, result.branch)
     assert rebuilt.branch == result.branch
@@ -262,7 +262,7 @@ def test_find_proposal_reads_one_run_report(healing_kernel, monkeypatch):
     kernel = healing_kernel
     for _ in range(4):
         failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     assert len(kernel.list_runs()) == 5
     real_read_text = Path.read_text
@@ -285,7 +285,7 @@ def test_heal_merge_commit_path(healing_kernel):
     produces a true merge commit rather than a fast-forward."""
     kernel = healing_kernel
     failed = fail_run(kernel)
-    result = heal(kernel, failed.run_id, baseline_agent([parse_pipeline(GUARDED)]),
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(5,)]))
     kernel.commit_tables("main", {"unrelated": sid}, kernel.catalog.head("main"),
