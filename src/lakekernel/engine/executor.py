@@ -18,7 +18,7 @@ def execute_plan(plan: QueryPlan, bindings: dict) -> TableData:
     from_name = plan.sources[0][0]
     rows = [(r,) for r in bindings[from_name].rows]
 
-    if plan.ast.join is not None:
+    if plan.join_cols is not None:
         join_name = plan.sources[1][0]
         from_col, join_col = plan.join_cols
         # hash lookup on the join side, emission in (left, right) input order

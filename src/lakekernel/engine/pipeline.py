@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from ..errors import CycleOrForwardRef, ParseError
 from ..governance import PKG_PIN_RE
+from ..store import IDENT_RE
 from .queries import QueryAst, format_query, parse_query
 
-_IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 _ENV = re.compile(r"runtime=(\S+)\s+packages=\[([^\]]*)\]")
 
 
@@ -83,7 +83,7 @@ def _indent_of(raw: str) -> int:
 
 
 def _ident(text: str, lineno: int) -> str:
-    if not _IDENT.fullmatch(text):
+    if not IDENT_RE.fullmatch(text):
         raise ParseError(f"bad identifier {text!r}", lineno)
     return text
 

@@ -1,6 +1,5 @@
 """Static analysis and compilation: column resolution, type checking,
-output schemas, expressions compiled once per plan into closures, and
-stable topological ordering of pipeline nodes."""
+output schemas, and expressions compiled once per plan into closures."""
 from __future__ import annotations
 
 import operator
@@ -10,7 +9,7 @@ from typing import Callable
 
 from ..errors import EvalError, QueryTypeError, UnknownInput
 from ..store import INT64_MAX, INT64_MIN, Schema
-from .pipeline import NodeSpec, PipelineSpec
+from .pipeline import PipelineSpec
 from .queries import (
     Aggregate,
     BinaryOp,
@@ -41,7 +40,6 @@ class QueryPlan:
     sources. In an aggregating query, group holds the rows of the current
     group, row is its first row (None for an empty group), and every bare
     column is a group key, constant across the group."""
-    ast: QueryAst
     sources: tuple[tuple[str, Schema], ...]
     output_schema: Schema
     aggregating: bool
@@ -76,7 +74,6 @@ def _divide(as_float: bool):
 
 class _Analyzer:
     def __init__(self, ast: QueryAst, schemas: dict):
-        self.ast = ast
         for name in ast.tables():
             if name not in schemas:
                 raise UnknownInput(f"no input {name!r}")
@@ -244,7 +241,7 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
         select.append(fn)
 
     output = Schema(tuple(zip(names, types)))
-    return QueryPlan(ast=ast, sources=an.sources, output_schema=output,
+    return QueryPlan(sources=an.sources, output_schema=output,
                      aggregating=aggregating, join_cols=join_cols, where=where,
                      select=tuple(select), group_keys=tuple(group_keys))
 
@@ -262,30 +259,24 @@ def _resolve_join(an: _Analyzer, join: JoinClause):
     return (from_side, join_side)
 
 
-def plan(spec: PipelineSpec, source_schemas: dict) -> tuple[list[NodeSpec], dict]:
-    """Order nodes topologically (declaration order among ready nodes) and
-    compute every node's output schema by type checking its query."""
+def plan(spec: PipelineSpec, source_schemas: dict) -> dict[str, QueryPlan]:
+    """Type-check and compile every node's query, keyed by node name in
+    declaration order, which the parser's earlier-only rule makes a
+    topological order."""
     for source in spec.source_tables():
         if source not in source_schemas:
             raise UnknownInput(f"source table {source!r} not available")
 
-    node_names = set(spec.node_names())
-    pending = list(spec.nodes)
-    done: set[str] = set()
-    ordered: list[NodeSpec] = []
     schemas: dict[str, Schema] = dict(source_schemas)
-    while pending:
-        ready = next((n for n in pending
-                      if all(i in done or i not in node_names for i in n.inputs)), None)
-        if ready is None:  # unreachable given the parser's earlier-only rule
-            raise UnknownInput(f"cannot order nodes {[n.name for n in pending]}")
-        pending.remove(ready)
+    plans: dict[str, QueryPlan] = {}
+    for node in spec.nodes:
         try:
-            node_plan = analyze_query(ready.query,
-                                      {i: schemas[i] for i in ready.inputs})
+            later = [i for i in node.inputs if i not in schemas]
+            if later:
+                raise UnknownInput(f"input {later[0]!r} is not planned before it")
+            node_plan = analyze_query(node.query, {i: schemas[i] for i in node.inputs})
         except (UnknownInput, QueryTypeError) as exc:
-            raise type(exc)(f"node {ready.name!r}: {exc}") from exc
-        schemas[ready.name] = node_plan.output_schema
-        done.add(ready.name)
-        ordered.append(ready)
-    return ordered, {n.name: schemas[n.name] for n in spec.nodes}
+            raise type(exc)(f"node {node.name!r}: {exc}") from exc
+        schemas[node.name] = node_plan.output_schema
+        plans[node.name] = node_plan
+    return plans

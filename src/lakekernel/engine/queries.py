@@ -10,6 +10,10 @@ Grammar (keywords case-insensitive):
     expr  = literals, column refs, + - * /, comparisons, AND OR NOT,
             parentheses, agg(col | *) with agg in count/sum/avg/min/max
 
+The tokenizer matches one compiled pattern at each position. A string
+literal ('...' with '' for a quote) may span lines, and the line and column
+of every later token and error count those lines.
+
 The printer emits a canonical form (uppercase keywords, fully
 parenthesized sub-expressions) such that parse(format(ast)) == ast.
 """
@@ -19,13 +23,11 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
+from ..store import IDENT_RE
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 _KEYWORDS = {"select", "from", "join", "on", "where", "group", "by", "as",
              "and", "or", "not", "true", "false"}
-_IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_VALID_IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 # binary operator levels, loosest first; unary minus and primaries bind tighter
 _LEVELS = (("keyword", ("or",)), ("keyword", ("and",)),
            ("op", ("=", "!=", "<", "<=", ">", ">=")), ("op", ("+", "-")),
@@ -104,70 +106,46 @@ class _Token:
     value: object = None
 
 
-_OPS = ("<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/", "(", ")", ",", ".")
+# Alternatives are tried in order. The (?!') keeps backtracking from ending a
+# literal on the first half of a '' pair. m.lastgroup names the outer group,
+# so a number reports "number", not "fraction".
+_TOKEN_RE = re.compile(r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<number>\d+(?P<fraction>(?:\.\d+)?(?:[eE][+-]?\d+)?))
+    | (?P<word>[a-zA-Z_][a-zA-Z0-9_]*)
+    | (?P<op><=|>=|!=|[=<>+\-*/(),.])
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", line, col)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            tokens.append(_Token("string", text[i:j + 1], line, col, "".join(buf)))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            raw = m.group(0)
-            if m.group(1) or m.group(2):
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos] == "'":
+                raise ParseError("unterminated string literal", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, raw = m.lastgroup, m.group()
+        if kind == "string":
+            tokens.append(_Token("string", raw, line, col, raw[1:-1].replace("''", "'")))
+        elif kind == "number":
+            if m.group("fraction"):
                 tokens.append(_Token("float", raw, line, col, float(raw)))
             else:
                 tokens.append(_Token("int", raw, line, col, int(raw)))
-            col += len(raw)
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            raw = m.group(0)
+        elif kind == "word":
             low = raw.lower()
-            kind = "keyword" if low in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, low, line, col))
-            col += len(raw)
-            i = m.end()
-            continue
-        for op in _OPS:
-            if text.startswith(op, i):
-                tokens.append(_Token("op", op, line, col))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            tokens.append(_Token("keyword" if low in _KEYWORDS else "ident", low, line, col))
+        elif kind == "op":
+            tokens.append(_Token("op", raw, line, col))
+        pos = m.end()
+        if "\n" in raw:  # whitespace, or a string literal that spans lines
+            line += raw.count("\n")
+            line_start = m.start() + raw.rindex("\n") + 1
     return tokens
 
 
@@ -204,7 +182,7 @@ class _Parser:
 
     def ident(self) -> str:
         tok = self.take("ident")
-        if not _VALID_IDENT.fullmatch(tok.text):
+        if not IDENT_RE.fullmatch(tok.text):
             raise ParseError(f"bad identifier {tok.text!r}", tok.line, tok.column)
         return tok.text
 

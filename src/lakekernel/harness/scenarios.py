@@ -6,7 +6,7 @@ here, as a test double — the public run API cannot express it.
 """
 from __future__ import annotations
 
-from ..engine import execute_query, parse_pipeline, plan
+from ..engine import execute_plan, parse_pipeline, plan
 from ..governance import permissive_policy
 from ..kernel import LakeKernel
 from ..runner import FAILED_OPEN, MERGED, RunOptions
@@ -162,11 +162,11 @@ def _naive_run(kernel, text: str, principal: str, recorder, agent: int,
     session = kernel.catalog.open_session(head)
     schemas = {s: kernel.catalog.read_table(session, s).schema
                for s in spec.source_tables()}
-    ordered, _ = plan(spec, schemas)
+    plans = plan(spec, schemas)
     outputs = {}
-    for node in ordered:
+    for node in spec.nodes:
         live = kernel.catalog.open_session(kernel.catalog.head("main"))
-        table = execute_query(node.query, {
+        table = execute_plan(plans[node.name], {
             t: outputs[t] if t in outputs else kernel.catalog.read_table(live, t)
             for t in node.query.tables()})
         sid = kernel.store.put_snapshot(table)

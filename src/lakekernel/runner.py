@@ -20,7 +20,7 @@ from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .catalog import MergeResult
-from .engine import PipelineSpec, execute_query, format_pipeline, plan
+from .engine import PipelineSpec, execute_plan, format_pipeline, plan
 from .errors import CorruptRun, LakeError, UnknownInput, UnknownRun
 from .util import atomic_write
 from .verify import VerdictRecord
@@ -173,14 +173,13 @@ class Runner:
         target_head = catalog.head(target)
         session = catalog.open_session(target_head)
         tables = {s: catalog.read_table(session, s) for s in spec.source_tables()}
-        ordered, _ = plan(spec, {n: t.schema for n, t in tables.items()})
-        order = tuple(n.name for n in ordered)
+        plans = plan(spec, {n: t.schema for n, t in tables.items()})
         text = format_pipeline(spec)
 
         run_id = kernel.ids.new_run_id()
         if opts.dry_run:
             return RunReport(run_id, spec.name, text, target, None, target_head,
-                             (), Outcome(DRY_RUN, node_order=order), {})
+                             (), Outcome(DRY_RUN, node_order=tuple(plans)), {})
 
         temp = f"run/{spec.name}/{run_id}"
         # only this run moves the temp branch, so it carries its head along
@@ -197,11 +196,11 @@ class Runner:
             return report
 
         failed = False
-        for node in ordered:
+        for node in spec.nodes:
             started = time.perf_counter()
             try:
-                table = execute_query(node.query,
-                                      {t: tables[t] for t in node.query.tables()})
+                table = execute_plan(plans[node.name],
+                                     {t: tables[t] for t in node.query.tables()})
                 sid = kernel.store.put_snapshot(table)
                 head = kernel.commit_tables(
                     temp, {node.name: sid}, head,
@@ -221,9 +220,9 @@ class Runner:
                 failed = True
                 break
         done = {r.node for r in results}
-        for node in ordered:
-            if node.name not in done:
-                results.append(NodeResult(node.name, SKIPPED))
+        for name in plans:
+            if name not in done:
+                results.append(NodeResult(name, SKIPPED))
 
         if failed:
             return finish(FAILED_OPEN)

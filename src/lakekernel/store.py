@@ -4,6 +4,10 @@ The codec is deliberately text based (CSV-like) so golden values and
 independent hash oracles stay easy to produce by hand: line one is the
 schema as ``name:type`` pairs, every row is one line, and the whole
 encoding is bit-exact — the SHA-256 of those bytes IS the snapshot id.
+
+The decoder reads each field with one compiled pattern: a ``"`` opens a
+quoted section anywhere in a field, ``""`` inside a section is one quote,
+and a field ends at an unquoted ``,`` or newline.
 """
 from __future__ import annotations
 
@@ -18,7 +22,14 @@ from .errors import CorruptSnapshot, InvalidTable, NotFound, StorageFailure
 from .util import atomic_write
 
 COLUMN_TYPES = ("int64", "float64", "string", "bool")
-_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*")
+IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*")  # a column name is a query identifier
+# One field, then its terminator. The (?!") keeps backtracking from closing
+# a quoted section on the first half of a "" pair. No repeated group holds a
+# `+`, which would backtrack exponentially on a failing tail.
+_FIELD_BODY = r'[^",\n]*(?:"[^"]*(?:""[^"]*)*"(?!")[^",\n]*)*'
+_FIELD_BODY_RE = re.compile(_FIELD_BODY)
+_FIELD_RE = re.compile(rf"({_FIELD_BODY})([,\n])")
+_QUOTED_RE = re.compile(r'"([^"]*(?:""[^"]*)*)"(?!")')
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
@@ -34,7 +45,7 @@ class Schema:
             raise InvalidTable("schema needs at least one column")
         seen = set()
         for name, typ in self.columns:
-            if not _NAME_RE.fullmatch(name):
+            if not IDENT_RE.fullmatch(name):
                 raise InvalidTable(f"bad column name {name!r}")
             if typ not in COLUMN_TYPES:
                 raise InvalidTable(f"bad column type {typ!r} for {name!r}")
@@ -53,12 +64,6 @@ class Schema:
 
     def names(self) -> list[str]:
         return [n for n, _ in self.columns]
-
-    def type_of(self, name: str) -> str:
-        for n, t in self.columns:
-            if n == name:
-                return t
-        raise InvalidTable(f"no column {name!r}")
 
 
 def _normalize_value(value, typ: str):
@@ -136,44 +141,26 @@ def encode_table(table: TableData) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _unquote(match: re.Match) -> str:
+    return match.group(1).replace('""', '"')
+
+
 def _split_record(text: str, pos: int) -> tuple[list[str], int]:
     """Read one CSV record starting at pos; returns (fields, next_pos)."""
     fields = []
-    buf = []
-    in_quotes = False
-    i = pos
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == '"':
-                if i + 1 < n and text[i + 1] == '"':
-                    buf.append('"')
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-                continue
-            buf.append(ch)
-            i += 1
-            continue
-        if ch == '"':
-            in_quotes = True
-            i += 1
-            continue
-        if ch == ",":
-            fields.append("".join(buf))
-            buf = []
-            i += 1
-            continue
-        if ch == "\n":
-            fields.append("".join(buf))
-            return fields, i + 1
-        buf.append(ch)
-        i += 1
-    if in_quotes:
-        raise CorruptSnapshot("unterminated quote in snapshot")
-    raise CorruptSnapshot("missing trailing newline in snapshot")
+    while True:
+        m = _FIELD_RE.match(text, pos)
+        if m is None:
+            # the field runs to the end of the text, or stops at a quote
+            # that never closes
+            if _FIELD_BODY_RE.match(text, pos).end() < len(text):
+                raise CorruptSnapshot("unterminated quote in snapshot")
+            raise CorruptSnapshot("missing trailing newline in snapshot")
+        field, sep = m.groups()
+        fields.append(_QUOTED_RE.sub(_unquote, field) if '"' in field else field)
+        pos = m.end()
+        if sep == "\n":
+            return fields, pos
 
 
 def _decode_field(field: str, typ: str):

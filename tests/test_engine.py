@@ -92,6 +92,30 @@ def test_parse_error_carries_location():
     assert exc.value.column == 23
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("SELECT 'e''", "unterminated string literal", 1, 8),
+    ("SELECT a\n  FROM t @", "unexpected character '@'", 2, 10),
+    ("SELECT a FROM t\n\r\t!", "unexpected character '!'", 2, 3),
+])
+def test_tokenizer_error_positions(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == \
+        (f"{message} at line {line}, column {column}", line, column)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("SELECT 'a\nb' AS s FROM t extra", 2, 16),
+    ("SELECT 'a\nbc' AS s FROM t\n @", 3, 2),
+    ("SELECT 'a\n\nb''\nc' AS s FROM t ~", 4, 16),
+])
+def test_error_positions_count_lines_inside_string_literals(text, line, column):
+    """A string literal may span lines, and later positions count them."""
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 # --- print -> parse round trip ---------------------------------------------------
 
 def test_format_golden():

@@ -3,8 +3,12 @@ import random
 import pytest
 
 from lakekernel.engine import (
+    EnvSpec,
+    NodeSpec,
+    PipelineSpec,
     format_pipeline,
     parse_pipeline,
+    parse_query,
     plan,
 )
 from lakekernel.errors import CycleOrForwardRef, ParseError, QueryTypeError, UnknownInput
@@ -146,9 +150,10 @@ def _linear(n):
 
 def test_plan_linear_order():
     spec = parse_pipeline(_linear(3))
-    ordered, schemas = plan(spec, {"src": Schema.of("a:int64")})
-    assert [n.name for n in ordered] == ["n0", "n1", "n2"]
-    assert schemas == {f"n{i}": Schema.of("a:int64") for i in range(3)}
+    plans = plan(spec, {"src": Schema.of("a:int64")})
+    assert list(plans) == ["n0", "n1", "n2"]
+    assert {n: p.output_schema for n, p in plans.items()} == \
+        {f"n{i}": Schema.of("a:int64") for i in range(3)}
 
 
 DIAMOND = """\
@@ -173,15 +178,15 @@ node bottom:
 
 def test_plan_diamond_is_declaration_stable_topological_order():
     spec = parse_pipeline(DIAMOND)
-    ordered, schemas = plan(spec, {"src": Schema.of("k:int64", "a:int64")})
-    names = [n.name for n in ordered]
-    assert names == ["left", "right", "bottom"]
+    plans = plan(spec, {"src": Schema.of("k:int64", "a:int64")})
+    assert list(plans) == ["left", "right", "bottom"]
     # oracle: the result is a topological order of the induced DAG
+    inputs = {n.name: n.inputs for n in spec.nodes}
     seen = set(spec.source_tables())
-    for node in ordered:
-        assert all(i in seen for i in node.inputs)
-        seen.add(node.name)
-    assert schemas["bottom"] == Schema.of("k:int64", "total:int64")
+    for name in plans:
+        assert all(i in seen for i in inputs[name])
+        seen.add(name)
+    assert plans["bottom"].output_schema == Schema.of("k:int64", "total:int64")
 
 
 def test_plan_random_dags_are_topological():
@@ -199,12 +204,13 @@ def test_plan_random_dags_are_topological():
                       f"  query: SELECT a FROM {inputs[0]}"]
             produced.append(f"n{i}")
         spec = parse_pipeline("\n".join(lines) + "\n")
-        ordered, _ = plan(spec, {"src": Schema.of("a:int64")})
+        plans = plan(spec, {"src": Schema.of("a:int64")})
+        inputs = {n.name: n.inputs for n in spec.nodes}
         seen = {"src"}
-        for node in ordered:
-            assert all(i in seen for i in node.inputs)
-            seen.add(node.name)
-        assert [n.name for n in ordered] == spec.node_names()  # stable
+        for name in plans:
+            assert all(i in seen for i in inputs[name])
+            seen.add(name)
+        assert list(plans) == spec.node_names()  # stable
 
 
 def test_plan_missing_source():
@@ -240,3 +246,16 @@ node n:
     spec = parse_pipeline(text)
     with pytest.raises(UnknownInput):
         plan(spec, {"src": Schema.of("a:int64"), "other": Schema.of("a:int64")})
+
+
+def test_plan_rejects_a_node_that_reads_a_later_node():
+    """The parser rejects forward references, so only a spec built by hand
+    can hold one; plan names the node instead of failing on a lookup."""
+    env = EnvSpec("py", ())
+    spec = PipelineSpec("p", (
+        NodeSpec("first", ("second",), env, "REPLACE", parse_query("SELECT a FROM second")),
+        NodeSpec("second", ("src",), env, "REPLACE", parse_query("SELECT a FROM src")),
+    ))
+    with pytest.raises(UnknownInput) as exc:
+        plan(spec, {"src": Schema.of("a:int64")})
+    assert "'first'" in str(exc.value) and "'second'" in str(exc.value)

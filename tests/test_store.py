@@ -84,6 +84,15 @@ def test_row_validation():
 _TYPES = ("int64", "float64", "string", "bool")
 _STRINGS = ["", "plain", "with,comma", 'with"quote', "new\nline", "ünïcode",
             "  spaced  ", "'single'", "trail,"]
+_STRING_CHARS = '",\n\r\'ü a'
+
+
+def _random_string(rng: random.Random) -> str:
+    """A fixed string, or a random one over the characters the codec quotes,
+    escapes or must pass through, with the empty string among them."""
+    if rng.random() < 0.5:
+        return rng.choice(_STRINGS)
+    return "".join(rng.choices(_STRING_CHARS, k=rng.randint(0, 6)))
 
 
 def _random_table(rng: random.Random) -> TableData:
@@ -100,7 +109,7 @@ def _random_table(rng: random.Random) -> TableData:
                 row.append(rng.choice([0.0, 1.5, -2.25, 3.14159, 1e-9, 1e18,
                                        rng.random()]))
             elif typ == "string":
-                row.append(rng.choice(_STRINGS))
+                row.append(_random_string(rng))
             else:
                 row.append(rng.choice([True, False]))
         rows.append(tuple(row))
@@ -129,6 +138,34 @@ def test_injectivity_randomized():
             seen[enc] = t
     distinct_tables = list(seen.values())
     assert len({encode_table(t) for t in distinct_tables}) == len(distinct_tables)
+
+
+@pytest.mark.parametrize("body, rows", [
+    ('s:string\na"b,c"d\n', [("ab,cd",)]),  # a quoted section inside a field
+    ('s:string\na""b\n', [("ab",)]),  # "" outside a section is an empty section
+    ('s:string\n"a"""\n', [('a"',)]),  # "" inside a section is one quote
+    ('s:string\n""\n', [("",)]),
+    ('s:string,t:string\n"x\ny",\n', [("x\ny", "")]),
+])
+def test_decode_quoting_rules(body, rows):
+    assert decode_table(body.encode()).rows == tuple(rows)
+
+
+@pytest.mark.parametrize("body, message", [
+    ('s:string\n"abc\n', "unterminated quote in snapshot"),
+    ('s:string\n"a""\n', "unterminated quote in snapshot"),
+    ('s:string\n"a"b"c\n', "unterminated quote in snapshot"),
+    ("s:string\nabc", "missing trailing newline in snapshot"),
+    ('s:string\n"a,b"', "missing trailing newline in snapshot"),
+    ("a:int64,b:int64\n1\n", "row arity 1 != 2"),
+    ("a:int64\n1,2\n", "row arity 2 != 1"),
+    ('a:int64\n1,"x\n', "unterminated quote in snapshot"),  # not the arity error
+    ("a:int64\nx\n", "bad int64 field 'x'"),
+])
+def test_decode_malformed_bodies(body, message):
+    with pytest.raises(CorruptSnapshot) as exc:
+        decode_table(body.encode())
+    assert str(exc.value) == message
 
 
 # --- the store -------------------------------------------------------------
