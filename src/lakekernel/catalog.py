@@ -35,7 +35,7 @@ from .errors import (
 )
 from .store import SnapshotStore, TableData
 # atomic_write is unused here but stays importable: perfbench wraps catalog.atomic_write
-from .util import Journal, SystemClock, atomic_write  # noqa: F401
+from .util import Journal, SystemClock, atomic_write, index_bodies  # noqa: F401
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
@@ -117,13 +117,6 @@ def _apply_moves(refs: dict, chunk: bytes, _offset: int) -> None:
             refs[branch] = new
 
 
-def _index_commits(index: dict, chunk: bytes, offset: int) -> None:
-    """Fold `<64-hex id> <body>` lines into {id: (body offset, body length)}."""
-    for line in chunk.split(b"\n")[:-1]:
-        index[line[:64].decode("ascii")] = (offset + 65, len(line) - 65)
-        offset += len(line) + 1
-
-
 class Catalog:
     def __init__(self, root: Path, store: SnapshotStore, clock=None):
         self.root = Path(root)
@@ -135,7 +128,7 @@ class Catalog:
         self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
         self._commit_index: dict[str, tuple[int, int]] = {}
         self._commits = Journal(self.root / "commits.log",
-                                partial(_index_commits, self._commit_index))
+                                partial(index_bodies, self._commit_index))
         self._cache: dict[str, Commit] = {}
         self._cache_lock = threading.Lock()
 

@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import governance, healer
 from .engine import parse_pipeline
-from .errors import LakeError
+from .errors import CorruptSnapshot, LakeError
 from .harness import Trace, WorkloadSpec, check_isolation, check_serializability, simulate
 from .kernel import LakeKernel
 from .runner import DRY_RUN, MERGED, RunOptions, SUCCEEDED_OPEN
-from .store import TableData, decode_table
+from .store import TableData, decode_table, encode_table
 from .util import atomic_write
 
 DEFAULT_DATA_DIR = ".lakekernel"
@@ -158,7 +158,10 @@ def cmd_diff(ctx: _Ctx) -> int:
 def cmd_table_import(ctx: _Ctx) -> int:
     principal = ctx.require_principal()
     kernel = ctx.kernel()
-    table = decode_table(Path(ctx.args.csv).read_bytes())
+    data = Path(ctx.args.csv).read_bytes()
+    table = decode_table(data)
+    if encode_table(table) != data:  # the file's SHA-256 must be the snapshot id
+        raise CorruptSnapshot(f"{ctx.args.csv} is not in canonical snapshot form")
     sid = kernel.store.put_snapshot(table)
     head = kernel.catalog.head(ctx.args.branch)
     commit = kernel.commit_tables(ctx.args.branch, {ctx.args.name: sid}, head,

@@ -2,7 +2,9 @@
 
 Op selection per agent is deterministic (splitmix64 seeded from the
 workload seed and the agent index); thread interleaving may vary, which
-is exactly what the offline checkers are for.
+is exactly what the offline checkers are for. So with 2 or more agents a
+seed does not reproduce a trace, and `simulate --seed N` cannot replay a
+failing one; ROADMAP item 7 (seeded interleavings) would make it replay.
 """
 from __future__ import annotations
 

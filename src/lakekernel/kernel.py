@@ -33,7 +33,7 @@ class LakeKernel:
         self.governor = Governor(policy or governance.EMPTY_POLICY,
                                  audit_path=self.data_dir / "audit.log")
         self.verifiers = VerifierRegistry(self.data_dir, self.catalog)
-        self.runner = Runner(self, self.data_dir / "runs")
+        self.runner = Runner(self, self.data_dir / "runs.log")
 
     def init(self, author: str = "system"):
         return self.catalog.init(author)

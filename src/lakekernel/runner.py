@@ -6,6 +6,9 @@ temp branch there, commits node outputs one by one, then publishes all
 of them in a single atomic merge only after every node succeeded and
 every matching verifier passed. On any failure the temp branch is left
 open for inspection and the target head is untouched.
+
+Every run but a dry run leaves its report as one line `<run id> <report
+JSON>` of the journal runs.log; a runner indexes the lines by run id.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import re
 import time
 import weakref
 from dataclasses import asdict, dataclass, is_dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -22,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 from .catalog import MergeResult
 from .engine import PipelineSpec, execute_plan, format_pipeline, plan
 from .errors import CorruptRun, LakeError, UnknownInput, UnknownRun
-from .util import atomic_write
+from .util import Journal, index_bodies
 from .verify import VerdictRecord
 
 SUCCEEDED = "succeeded"
@@ -134,32 +137,41 @@ class Runner:
     """Executes pipelines through the governed kernel surface so every ref
     mutation carries its own authorization record."""
 
-    def __init__(self, kernel, runs_dir: Path):
+    def __init__(self, kernel, log_path: Path):
         # a proxy, so the kernel owning this runner is freed by refcount alone
         self.kernel = weakref.proxy(kernel)
-        self._runs_dir = Path(runs_dir)
-        self._runs_dir.mkdir(parents=True, exist_ok=True)
+        # the fold holds the dict, not self: no cycle keeps a dropped runner alive
+        self._index: dict[str, tuple[int, int]] = {}
+        self._log = Journal(log_path, partial(index_bodies, self._index))
 
     # -- reports ----------------------------------------------------------
 
     def run_ids(self) -> list[str]:
         """The ids of the persisted run reports, sorted."""
-        return sorted(p.stem for p in self._runs_dir.glob("*.json")
-                      if _RUN_ID_RE.fullmatch(p.stem))
+        return self._log.catch_up(
+            lambda: sorted(k for k in self._index if _RUN_ID_RE.fullmatch(k)))
 
     def list_runs(self) -> list[RunReport]:
         return [self.get_run(run_id) for run_id in self.run_ids()]
 
     def get_run(self, run_id: str) -> RunReport:
+        """The report on `run_id`'s line of runs.log. Only an id not yet
+        indexed catches up the journal."""
         if not _RUN_ID_RE.fullmatch(run_id):
             raise UnknownRun(f"no run {run_id!r}")
+        found = self._index.get(run_id)
+        if found is None:
+            found = self._log.catch_up(partial(self._index.get, run_id))
+            if found is None:
+                raise UnknownRun(f"no run {run_id!r}")
         try:
-            return RunReport.from_json(
-                json.loads((self._runs_dir / f"{run_id}.json").read_text("utf-8")))
-        except FileNotFoundError:
-            raise UnknownRun(f"no run {run_id!r}") from None
+            report = RunReport.from_json(json.loads(self._log.read_at(*found)))
         except (ValueError, TypeError) as exc:  # torn, not JSON, or not a report
             raise CorruptRun(f"run {run_id!r} has a corrupt report: {exc}") from None
+        if report.run_id != run_id:
+            raise CorruptRun(f"run {run_id!r} has a corrupt report: "
+                             f"its body names run {report.run_id!r}")
+        return report
 
     # -- the run protocol ----------------------------------------------------
 
@@ -192,7 +204,8 @@ class Runner:
                                tuple(results), Outcome(kind, temp_branch=temp, **outcome),
                                timings, tuple(verdicts))
             body = json.dumps(asdict(report), sort_keys=True).encode("utf-8")
-            atomic_write(self._runs_dir / f"{run_id}.json", body)
+            with self._log.locked() as append:  # one line: `<run id> <report JSON>`
+                append(run_id.encode("ascii") + b" " + body)
             return report
 
         failed = False

@@ -181,8 +181,13 @@ def _decode_field(field: str, typ: str):
 
 
 def decode_table(data: bytes) -> TableData:
-    """Inverse of encode_table."""
-    text = data.decode("utf-8")
+    """Inverse of encode_table. Bytes it accepts need not be canonical:
+    `int` and `float` also read `01`, `1_0` or `1e3`, so a caller with bytes
+    from outside checks that encode_table gives them back."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptSnapshot(f"snapshot is not UTF-8: {exc}") from None
     if not text:
         raise CorruptSnapshot("empty snapshot")
     header_end = text.find("\n")
@@ -206,7 +211,10 @@ def decode_table(data: bytes) -> TableData:
         if len(fields) != len(types):
             raise CorruptSnapshot(f"row arity {len(fields)} != {len(types)}")
         rows.append(tuple(_decode_field(f, t) for f, t in zip(fields, types)))
-    return TableData(schema, tuple(rows))
+    try:  # a non-finite float or an int64 out of range
+        return TableData(schema, tuple(rows))
+    except InvalidTable as exc:
+        raise CorruptSnapshot(str(exc)) from None
 
 
 def snapshot_id_of(table: TableData) -> str:

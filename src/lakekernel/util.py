@@ -134,6 +134,17 @@ class Journal:
         return data[:data.rfind(b"\n") + 1].splitlines()
 
 
+def index_bodies(index: dict, chunk: bytes, offset: int) -> None:
+    """A Journal fold over `<key> <body>` lines: {key: (body offset, body
+    length)}, where a later line for a key wins. A line with no space
+    indexes nothing."""
+    for line in chunk.split(b"\n")[:-1]:
+        sep = line.find(b" ")
+        if sep >= 0:
+            index[line[:sep].decode("ascii", "replace")] = (offset + sep + 1, len(line) - sep - 1)
+        offset += len(line) + 1
+
+
 def splitmix64(state: int) -> tuple[int, int]:
     """One step of splitmix64: returns (next_state, output)."""
     state = (state + 0x9E3779B97F4A7C15) & MASK64

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,7 @@ roles = ["reporter"]
 """
 
 RAW = "k:int64,x:int64\n1,10\n2,20\n"
+OTHER_RUN = "00000000-0000-4000-8000-000000000000"  # a run id no lake here makes
 
 PIPE = """\
 pipeline duo
@@ -96,6 +98,35 @@ def test_branch_create_list_delete(env, capsys):
     code, body = run_json(capsys, ["--data-dir", env["data"], "branch", "delete",
                                    "dev", "--as", "dana"])
     assert code == 0 and body["deleted"] is True
+
+
+@pytest.mark.parametrize("body, canonical", [
+    (b"v:int64\n1_0\n", b"v:int64\n10\n"),
+    ("v:int64\n \u0661 \n".encode(), b"v:int64\n1\n"),  # an Arabic-Indic one
+    (b"v:int64\n01\n", b"v:int64\n1\n"),
+    (b"v:float64\n1e3\n", b"v:float64\n1000.0\n"),
+    (b"v:float64\n-0.0\n", b"v:float64\n0.0\n"),
+    (b'v:string\n"a"\n', b"v:string\na\n"),
+    (b"v:float64\nnan\n", None),
+    (b"v:float64\ninf\n", None),
+    (b"v:int64\n9223372036854775808\n", None),
+    (b"v:string\n\xff\n", None),
+])
+def test_table_import_takes_only_canonical_bytes(env, capsys, body, canonical):
+    """A snapshot's id is its file's SHA-256, so `table import` refuses a
+    file unless re-encoding what was decoded gives back the file's bytes."""
+    data, csv = env["data"], env["tmp"] / "t.csv"
+    head = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]["main"]
+    csv.write_bytes(body)
+    code, out = run_json(capsys, ["--data-dir", data, "table", "import", "t",
+                                  "--csv", str(csv), "--as", "dana"])
+    assert (code, out["error"]) == (1, "CorruptSnapshot")
+    assert run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]["main"] == head
+    if canonical is not None:
+        csv.write_bytes(canonical)
+        code, out = run_json(capsys, ["--data-dir", data, "table", "import", "t",
+                                      "--csv", str(csv), "--as", "dana"])
+        assert code == 0 and out["snapshot"] == hashlib.sha256(canonical).hexdigest()
 
 
 def test_query_json_schema(env, capsys):
@@ -165,6 +196,25 @@ def test_verifier_cli_flow(env, capsys):
     assert body["verdicts"][0]["verdict"] == "pass"
 
 
+def test_data_dir_layout_matches_readme(env, capsys):
+    """The top-level entries of a lake with a merged run and a verdict are
+    the names in README's "Data layout" block, so adding or dropping a kind
+    of file means updating the README too."""
+    data = env["data"]
+    assert main(["--data-dir", data, "verifier", "register", "--name", "nonempty",
+                 "--pipeline", "duo", "--check", "SELECT count(*) > 0 AS ok FROM t_b",
+                 "--as", "dana"]) == 0
+    code, body = run_json(capsys, ["--data-dir", data, "run", env["pipe"], "--as", "dana"])
+    assert code == 0 and body["outcome"]["kind"] == "merged"
+    assert [v["verdict"] for v in body["verdicts"]] == ["pass"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Data layout", 1)[1].split("```")[1]
+    lines = block.strip("\n").splitlines()
+    assert lines[0] == ".lakekernel/"
+    documented = {line.split()[0].split("/")[0] for line in lines[1:]}
+    assert {p.name for p in Path(data).iterdir()} == documented
+
+
 def test_runs_list_show_cleanup(env, capsys):
     code, body = run_json(capsys, ["--data-dir", env["data"], "run", env["pipe"],
                                    "--fail-after", "t_a", "--as", "dana"])
@@ -220,36 +270,108 @@ def test_bad_run_ids_are_unknown_and_open_no_file(env, capsys, monkeypatch):
     assert opened == []
     code, body = run_json(capsys, ["--data-dir", data, "runs", "show", run_id])
     assert code == 0 and body["run_id"] == run_id
-    assert opened == [Path(os.path.abspath(data)) / "runs" / f"{run_id}.json"]
+    # a fresh runner catches up runs.log, then reads the report's body from it
+    assert opened == [Path(os.path.abspath(data)) / "runs.log"] * 2
 
 
 def test_corrupt_run_reports_are_errors_that_name_the_run(env, capsys):
-    """A report that is torn, not JSON or not shaped like a report ends
-    `runs show` and `runs list` with exit 1 and a CorruptRun error naming
-    the run, whose JSON object is the last line on stdout."""
+    """A report that is torn, not JSON, not shaped like a report or about
+    another run than its line's key ends `runs show` and `runs list` with
+    exit 1 and a CorruptRun error naming the run, whose JSON object is the
+    last line on stdout."""
     data = env["data"]
     code, body = run_json(capsys, ["--data-dir", data, "run", env["pipe"], "--as", "dana"])
     run_id = body["run_id"]
-    path = Path(data) / "runs" / f"{run_id}.json"
-    good = path.read_bytes()
+    path = Path(data) / "runs.log"
+    key = run_id.encode() + b" "
+    line = path.read_bytes()
+    assert line.startswith(key) and line.endswith(b"\n")
+    good = line[len(key):-1]
     report = json.loads(good)
     wrong_types = [{**report, "outcome": 5}, {**report, "pipeline": 7},
                    {**report, "node_results": [{"node": "t_a", "status": None}]},
                    {**report, "outcome": {**report["outcome"], "merge": "x"}},
-                   {**report, "verdicts": {}}, {**report, "extra": 1}]
+                   {**report, "verdicts": {}}, {**report, "extra": 1},
+                   {**report, "run_id": OTHER_RUN}]
     bodies = [b"{}", good[:len(good) // 2], b"\xff", b"[]",
               *(json.dumps(r).encode() for r in wrong_types)]
     for bad in bodies:
-        path.write_bytes(bad)
+        path.write_bytes(key + bad + b"\n")
         for command in (["runs", "show", run_id], ["runs", "list"]):
             code, body = run_json(capsys, ["--data-dir", data, *command])
             assert (code, body["error"]) == (1, "CorruptRun"), (command, bad)
             assert run_id in body["reason"]
         assert main(["--data-dir", data, "runs", "list"]) == 1
         assert "CorruptRun" in capsys.readouterr().err
-    path.write_bytes(good)
+    path.write_bytes(line)
     code, body = run_json(capsys, ["--data-dir", data, "runs", "list"])
     assert code == 0 and [r["run_id"] for r in body["runs"]] == [run_id]
+
+
+def _merged_run(capsys, env) -> str:
+    code, body = run_json(capsys, ["--data-dir", env["data"], "run", env["pipe"], "--as", "dana"])
+    assert code == 0
+    return body["run_id"]
+
+
+def test_torn_runs_log_tail_is_invisible_then_cut_off(env, capsys):
+    """A last line with no newline (a writer that died mid-append) is no
+    run to `runs list` or `runs show`, even when it holds a whole report;
+    the next run's append cuts it off."""
+    data, run_id = env["data"], _merged_run(capsys, env)
+    path = Path(data) / "runs.log"
+    line = path.read_bytes()
+    torn = {**json.loads(line.split(b" ", 1)[1]), "run_id": OTHER_RUN}
+    with open(path, "ab") as f:
+        f.write(OTHER_RUN.encode() + b" " + json.dumps(torn).encode())
+    code, out = run_json(capsys, ["--data-dir", data, "runs", "list"])
+    assert code == 0 and [r["run_id"] for r in out["runs"]] == [run_id]
+    code, out = run_json(capsys, ["--data-dir", data, "runs", "show", OTHER_RUN])
+    assert (code, out["error"]) == (1, "UnknownRun")
+    second = _merged_run(capsys, env)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] + b"\n" == line and lines[1].startswith(second.encode() + b" ")
+    assert lines[2:] == [b""]
+    code, out = run_json(capsys, ["--data-dir", data, "runs", "list"])
+    assert sorted(r["run_id"] for r in out["runs"]) == sorted([run_id, second])
+
+
+def test_a_later_runs_log_line_for_a_run_wins(env, capsys):
+    data, run_id = env["data"], _merged_run(capsys, env)
+    path = Path(data) / "runs.log"
+    later = {**json.loads(path.read_bytes().split(b" ", 1)[1]), "pipeline": "later"}
+    with open(path, "ab") as f:
+        f.write(run_id.encode() + b" " + json.dumps(later).encode() + b"\n")
+    code, out = run_json(capsys, ["--data-dir", data, "runs", "show", run_id])
+    assert code == 0 and out["pipeline"] == "later"
+    code, out = run_json(capsys, ["--data-dir", data, "runs", "list"])
+    assert [(r["run_id"], r["pipeline"]) for r in out["runs"]] == [(run_id, "later")]
+
+
+def test_runs_from_two_processes_each_append_one_line(env, capsys):
+    """Two processes each make four `run` calls on one data dir at once:
+    runs.log ends with one line per run, and every report reads back."""
+    script = r"""
+import sys
+from lakekernel.cli import main
+
+data, pipe = sys.argv[1], sys.argv[2]
+for _ in range(4):
+    assert main(["--data-dir", data, "run", pipe, "--no-merge", "--as", "dana"]) == 0
+"""
+    procs = [subprocess.Popen([sys.executable, "-c", script, env["data"], env["pipe"]],
+                              env=child_env(), stdout=subprocess.DEVNULL)
+             for _ in range(2)]
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    assert len((Path(env["data"]) / "runs.log").read_bytes().splitlines()) == 8
+    code, out = run_json(capsys, ["--data-dir", env["data"], "runs", "list"])
+    ids = [r["run_id"] for r in out["runs"]]
+    assert code == 0 and len(set(ids)) == 8
+    for run_id in ids:
+        code, out = run_json(capsys, ["--data-dir", env["data"], "runs", "show", run_id])
+        assert code == 0 and out["run_id"] == run_id
+        assert out["outcome"]["kind"] == "succeeded_open"
 
 
 def test_heal_and_approve_cli(env, capsys, tmp_path):

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from conftest import make_kernel
@@ -19,6 +17,7 @@ from lakekernel.healer import (
 )
 from lakekernel.runner import FAILED_OPEN, RunOptions
 from lakekernel.store import TableData
+from lakekernel.util import Journal
 
 BROKEN = """\
 pipeline metrics
@@ -265,15 +264,15 @@ def test_find_proposal_reads_one_run_report(healing_kernel, monkeypatch):
     result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     assert len(kernel.list_runs()) == 5
-    real_read_text = Path.read_text
+    real_read_at = Journal.read_at
     reads = []
 
-    def read_text(self, *args, **kwargs):
-        if self.parent.name == "runs" and self.suffix == ".json":
-            reads.append(self)
-        return real_read_text(self, *args, **kwargs)
+    def read_at(self, offset, size):
+        if self.path.name == "runs.log":
+            reads.append((offset, size))
+        return real_read_at(self, offset, size)
 
-    monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setattr(Journal, "read_at", read_at)
     assert find_proposal(kernel, result.branch).run_report == result.run_report
     assert len(reads) == 1
     with pytest.raises(UnknownRun):  # a failed run's temp branch is no proposal

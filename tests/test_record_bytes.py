@@ -180,8 +180,8 @@ def test_run_report_verdict_and_audit_bytes(tmp_path, monkeypatch, capsys, kind)
     kernel, report = _run(tmp_path, monkeypatch, kind)
     want_report, want_verdicts, want_audit = PINNED[kind]
     data = kernel.data_dir
-    assert (data / "runs" / f"{report.run_id}.json").read_text("utf-8") == \
-        _expand(want_report)
+    assert (data / "runs.log").read_text("utf-8") == \
+        report.run_id + " " + _expand(want_report) + "\n"
     verdicts = data / "verdicts" / f"{report.run_id}.json"
     if want_verdicts is None:
         assert not verdicts.exists()

@@ -199,7 +199,8 @@ def test_report_json_roundtrip(kernel):
     seed_raw(kernel)
     report = kernel.run(PIPE, "main",
                         RunOptions(principal="alice", fail_after="t_a"))
-    raw = (kernel.data_dir / "runs" / f"{report.run_id}.json").read_text()
+    key, raw = (kernel.data_dir / "runs.log").read_text().rstrip("\n").split(" ", 1)
+    assert key == report.run_id
     assert RunReport.from_json(json.loads(raw)) == report
     assert kernel.get_run(report.run_id) == report
 

@@ -161,6 +161,10 @@ def test_decode_quoting_rules(body, rows):
     ("a:int64\n1,2\n", "row arity 2 != 1"),
     ('a:int64\n1,"x\n', "unterminated quote in snapshot"),  # not the arity error
     ("a:int64\nx\n", "bad int64 field 'x'"),
+    ("a:float64\nnan\n", "non-finite float64: nan"),
+    ("a:float64\n-inf\n", "non-finite float64: -inf"),
+    ("a:int64\n9223372036854775808\n", "int64 out of range: 9223372036854775808"),
+    ("a:int64\n-9223372036854775809\n", "int64 out of range: -9223372036854775809"),
 ])
 def test_decode_malformed_bodies(body, message):
     with pytest.raises(CorruptSnapshot) as exc:
