@@ -105,6 +105,10 @@ class CorruptRun(LakeError):
     """A run report file that is torn, not JSON, or not a report."""
 
 
+class CorruptRecord(LakeError):
+    """A verifier or verdict file that is torn, not JSON, or not a record."""
+
+
 class DuplicateName(LakeError):
     pass
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import tomllib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -184,63 +185,38 @@ def check_env(env, whitelist) -> list[str]:
 
 # --- policy file ------------------------------------------------------------
 
-def _parse_value(raw: str, lineno: int):
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(part, lineno) for part in inner.split(",")]
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    raise PolicyParseError(f"expected quoted string or list, got {raw!r}", lineno)
+def _list_of(item_type: type, value, what: str) -> tuple:
+    if type(value) is not list or not all(type(v) is item_type for v in value):
+        raise PolicyParseError(
+            f"{what} must be a list of {item_type.__name__}, got {value!r}")
+    return tuple(value)
+
+
+def _blocks(doc: dict, kind: str, key: str):
+    """(name, the strings under `key`) of each [[kind]] block."""
+    for block in _list_of(dict, doc.get(kind, []), kind):
+        if "name" not in block:
+            raise InvalidPolicy(f"{kind} block missing name")
+        if type(block["name"]) is not str:
+            raise PolicyParseError(f"{kind} name must be a string, got {block['name']!r}")
+        yield block["name"], _list_of(str, block.get(key, []), f"{kind} {key}")
 
 
 def parse_policy(text: str) -> Policy:
-    principals = []
-    roles = []
-    whitelist: list[str] = []
-    section = None  # None | dict being filled
-    section_kind = None
-
-    def close_section():
-        nonlocal section, section_kind
-        if section is None:
-            return
-        if "name" not in section:
-            raise InvalidPolicy(f"{section_kind} block missing name")
-        if section_kind == "principal":
-            principals.append(Principal(section["name"],
-                                        tuple(section.get("roles", []))))
-        else:
-            perms = tuple(Permission.parse(p) for p in section.get("permissions", []))
-            roles.append(Role(section["name"], perms))
-        section = None
-        section_kind = None
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in ("[[principal]]", "[[role]]"):
-            close_section()
-            section = {}
-            section_kind = line[2:-2]
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise PolicyParseError(f"expected key = value, got {line!r}", lineno)
-        key = key.strip()
-        parsed = _parse_value(value, lineno)
-        if section is None:
-            if key != "whitelist":
-                raise PolicyParseError(
-                    f"only 'whitelist' is allowed at top level, got {key!r}", lineno)
-            whitelist = list(parsed)
-        else:
-            section[key] = parsed
-    close_section()
-    return Policy(tuple(principals), tuple(roles), tuple(whitelist))
+    """The policy in a TOML text. Bad TOML, other top-level keys and values
+    of the wrong type are ParseError; a block with no name, and what Policy
+    rejects, are InvalidPolicy. Other keys in a block are ignored."""
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise PolicyParseError(f"bad policy TOML: {exc}") from None
+    if doc.keys() - {"whitelist", "role", "principal"}:
+        raise PolicyParseError(f"only whitelist, [[role]] and [[principal]] are "
+                               f"allowed at top level, got {sorted(doc)}")
+    roles = tuple(Role(name, tuple(map(Permission.parse, perms)))
+                  for name, perms in _blocks(doc, "role", "permissions"))
+    return Policy(tuple(Principal(*p) for p in _blocks(doc, "principal", "roles")),
+                  roles, _list_of(str, doc.get("whitelist", []), "whitelist"))
 
 
 def load_policy(path) -> Policy:
@@ -248,20 +224,23 @@ def load_policy(path) -> Policy:
     return parse_policy(Path(path).read_text("utf-8"))
 
 
+def _toml_string(text: str) -> str:
+    """`text` as a TOML basic string: each JSON string escape is a TOML one,
+    TOML also escapes U+007F, and any other character is written as itself."""
+    return json.dumps(text, ensure_ascii=False).replace("\x7f", "\\u007f")
+
+
 def format_policy(policy: Policy) -> str:
-    lines = ["whitelist = [" + ", ".join(f'"{w}"' for w in policy.whitelist) + "]", ""]
+    """The TOML text that parse_policy reads back as `policy`."""
+    def array(items) -> str:
+        return "[" + ", ".join(map(_toml_string, items)) + "]"
+    lines = [f"whitelist = {array(policy.whitelist)}", ""]
     for role in policy.roles:
-        lines.append("[[role]]")
-        lines.append(f'name = "{role.name}"')
-        perms = ", ".join(f'"{p.text()}"' for p in role.permissions)
-        lines.append(f"permissions = [{perms}]")
-        lines.append("")
+        lines += ["[[role]]", f"name = {_toml_string(role.name)}",
+                  f"permissions = {array(p.text() for p in role.permissions)}", ""]
     for principal in policy.principals:
-        lines.append("[[principal]]")
-        lines.append(f'name = "{principal.name}"')
-        roles = ", ".join(f'"{r}"' for r in principal.roles)
-        lines.append(f"roles = [{roles}]")
-        lines.append("")
+        lines += ["[[principal]]", f"name = {_toml_string(principal.name)}",
+                  f"roles = {array(principal.roles)}", ""]
     return "\n".join(lines)
 
 

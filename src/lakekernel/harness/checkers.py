@@ -14,18 +14,21 @@ from .trace import Trace
 
 
 def check_isolation(trace: Trace) -> list[dict]:
-    """Empty list means Ok; otherwise one entry per torn read group."""
+    """Empty list means Ok; otherwise one entry per torn read group, in
+    event order. A group is explained by a commit map in the set of maps
+    holding each of its (table, snapshot id) pairs, smallest set first."""
+    holding: dict[tuple, set[int]] = {}
+    for i, table_map in enumerate(trace.commits.values()):
+        for pair in table_map.items():
+            holding.setdefault(pair, set()).add(i)
     violations = []
-    maps = list(trace.commits.values())
     for event in trace.events:
         reads = event.fields.get("reads")
         if not reads:
             continue
-        explained = any(
-            all(m.get(table) == snapshot for table, snapshot in reads)
-            for m in maps
-        )
-        if not explained:
+        smallest, *rest = sorted(
+            (holding.get((table, snapshot), ()) for table, snapshot in reads), key=len)
+        if not any(all(i in s for s in rest) for i in smallest):
             violations.append({"seq": event.seq, "agent": event.agent,
                                "reads": list(reads)})
     return violations

@@ -27,7 +27,7 @@ from .engine import (
     format_query,
     parse_query,
 )
-from .errors import DuplicateName, LakeError, ShapeError
+from .errors import CorruptRecord, DuplicateName, LakeError, ShapeError
 from .governance import glob_match
 from .util import atomic_write
 
@@ -116,10 +116,13 @@ class VerifierRegistry:
     def list_verifiers(self) -> list[VerifierSpec]:
         out = []
         for path in sorted(self._dir.glob("*.json")):
-            body = json.loads(path.read_text("utf-8"))
-            out.append(VerifierSpec(body["name"], body["pipeline"],
-                                    parse_query(body["check"]),
-                                    body["registered_by"]))
+            try:
+                body = json.loads(path.read_text("utf-8"))
+                out.append(VerifierSpec(body["name"], body["pipeline"],
+                                        parse_query(body["check"]),
+                                        body["registered_by"]))
+            except (ValueError, TypeError, KeyError, LakeError) as exc:
+                raise CorruptRecord(f"{path} is corrupt: {exc!r}") from None
         return out
 
     def matching(self, pipeline_name: str) -> list[VerifierSpec]:
@@ -177,14 +180,24 @@ class VerifierRegistry:
 
     def verdicts_for_run(self, run_id: str) -> list[VerdictRecord]:
         path = self._verdict_path(run_id)
-        if not path.exists():
-            return []
-        return [VerdictRecord(**b) for b in json.loads(path.read_text("utf-8"))]
+        return _verdicts_in([path]) if path.exists() else []
 
     def verdicts_at_commit(self, commit_id: str) -> list[VerdictRecord]:
-        out = []
-        for path in self._verdicts_dir.glob("*.json"):
-            for body in json.loads(path.read_text("utf-8")):
-                if body["evaluated_at"] == commit_id:
+        return _verdicts_in(self._verdicts_dir.glob("*.json"), commit_id)
+
+
+def _verdicts_in(paths, commit_id: str | None = None) -> list[VerdictRecord]:
+    """The verdicts in the files at `paths` (bound to `commit_id`, if given).
+    A torn, non-JSON or misshapen file is CorruptRecord, so a merge fails closed."""
+    out = []
+    try:
+        for path in paths:
+            bodies = json.loads(path.read_text("utf-8"))
+            if type(bodies) is not list:
+                raise TypeError(f"not a list: {bodies!r:.80}")
+            for body in bodies:
+                if commit_id is None or body["evaluated_at"] == commit_id:
                     out.append(VerdictRecord(**body))
-        return out
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CorruptRecord(f"{path} is corrupt: {exc!r}") from None
+    return out

@@ -308,6 +308,63 @@ def test_corrupt_run_reports_are_errors_that_name_the_run(env, capsys):
     assert code == 0 and [r["run_id"] for r in body["runs"]] == [run_id]
 
 
+_NONEMPTY = ["verifier", "register", "--name", "nonempty", "--pipeline", "duo",
+             "--check", "SELECT count(*) > 0 AS ok FROM t_b", "--as", "dana"]
+
+
+def test_corrupt_verdict_files_refuse_every_merge(env, capsys):
+    """One torn, non-JSON or misshapen verdict file ends every governed
+    merge, a run's publish included, with a CorruptRecord error naming the
+    file: the gate fails closed and main does not move."""
+    data = env["data"]
+    assert main(["--data-dir", data, *_NONEMPTY]) == 0
+    code, body = run_json(capsys, ["--data-dir", data, "run", env["pipe"],
+                                   "--no-merge", "--as", "dana"])
+    assert code == 0
+    temp, path = body["temp_branch"], Path(data) / "verdicts" / f"{body['run_id']}.json"
+    good = path.read_bytes()
+    head = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]["main"]
+    for bad in (good[:len(good) // 2], b"\xff", b"{}", b"7", b'["x"]', b"[{}]",
+                good.replace(b'"verdict"', b'"extra": 1, "verdict"')):
+        path.write_bytes(bad)
+        code, body = run_json(capsys, ["--data-dir", data, "merge", temp,
+                                       "--into", "main", "--as", "dana"])
+        assert (code, body["error"]) == (1, "CorruptRecord"), bad
+        assert str(path) in body["reason"]
+        code, body = run_json(capsys, ["--data-dir", data, "run", env["pipe"], "--as", "dana"])
+        assert (code, body["outcome"]["kind"]) == (1, "denied"), bad
+        assert str(path) in body["outcome"]["reason"]
+        branches = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]
+        assert branches["main"] == head
+    path.write_bytes(good)
+    code, body = run_json(capsys, ["--data-dir", data, "merge", temp,
+                                   "--into", "main", "--as", "dana"])
+    assert code == 0 and body["kind"] == "fast_forward"
+
+
+def test_corrupt_verifier_files_are_errors_that_name_the_file(env, capsys):
+    """A torn, non-JSON or misshapen verifier file ends `verifier list` and
+    every run's verifier step with a CorruptRecord error naming the file,
+    and the run publishes nothing."""
+    data = env["data"]
+    assert main(["--data-dir", data, *_NONEMPTY]) == 0
+    path = Path(data) / "verifiers" / "nonempty.json"
+    good = path.read_bytes()
+    head = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]["main"]
+    for bad in (good[:len(good) // 2], b"\xff", b"[]", b"{}",
+                good.replace(b"SELECT", b"SELEKT")):
+        path.write_bytes(bad)
+        for command in (["verifier", "list"], ["run", env["pipe"], "--as", "dana"]):
+            code, body = run_json(capsys, ["--data-dir", data, *command])
+            assert (code, body["error"]) == (1, "CorruptRecord"), (command, bad)
+            assert str(path) in body["reason"]
+        branches = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]
+        assert branches["main"] == head
+    path.write_bytes(good)
+    code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
+    assert code == 0 and [v["name"] for v in body["verifiers"]] == ["nonempty"]
+
+
 def _merged_run(capsys, env) -> str:
     code, body = run_json(capsys, ["--data-dir", env["data"], "run", env["pipe"], "--as", "dana"])
     assert code == 0

@@ -219,9 +219,61 @@ def test_policy_parse_error_on_bad_syntax():
         parse_policy("just nonsense\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ('[[role]]\nname = 1\n', ParseError),
+    ('[[role]]\nname = "admin"\npermissions = ["ManagePolicy"]\n'
+     '[[principal]]\nname = "p"\nroles = "admin"\n', ParseError),
+    ('[[role]]\nname = "r"\npermissions = "ManagePolicy"\n', ParseError),
+    ('whitelist = "pandas==2.0"\n', ParseError),
+    ('owner = "x"\n', ParseError),
+    ('[owner]\nname = "x"\n', ParseError),
+    ('[role]\nname = "r"\n', ParseError),
+    ('[[role]]\nname = "a"\nname = "b"\n', ParseError),
+    ('[[role]]\npermissions = ["ManagePolicy"]\n', InvalidPolicy),
+    ('[[principal]]\nroles = []\n', InvalidPolicy),
+], ids=["int-name", "string-roles", "string-permissions",
+        "string-whitelist", "top-level-key", "top-level-table", "role-table",
+        "duplicate-key", "role-without-name", "principal-without-name"])
+def test_policy_rejects_bad_files(text, error):
+    with pytest.raises(error):
+        parse_policy(text)
+
+
+@pytest.mark.parametrize("text, policy", [
+    ('whitelist = ["pandas==2.0"]  # pinned\n[[role]] # the admin\n'
+     'name = "admin" # role name\npermissions = []\n',
+     Policy((), (Role("admin", ()),), ("pandas==2.0",))),
+    ('whitelist = [\n  "pandas==2.0",\n  "polars==0.88",\n]\n',
+     Policy((), (), ("pandas==2.0", "polars==0.88"))),
+    ("[[role]]\nname = 'C:\\admin'\npermissions = ['ReadTable:main:*']\n"
+     "[[principal]]\nname = 'root'\nroles = ['C:\\admin']\n",
+     Policy((Principal("root", ("C:\\admin",)),),
+            (Role("C:\\admin", (Permission("ReadTable", ("main", "*")),)),), ())),
+    ('[[role]]\nname = "r"\ncolour = "blue"\n', Policy((), (Role("r", ()),), ())),
+], ids=["trailing-comments", "multi-line-array", "literal-strings", "unknown-block-key"])
+def test_policy_reads_standard_toml(text, policy):
+    assert parse_policy(text) == policy
+
+
+_AWKWARD = ['"', "\\", ",", "#", "[", "\n", "\t", "\x7f", "\u00e9", "\U0001f600"]
+
+
 def test_format_parse_roundtrip():
-    policy = parse_policy(ANALYST_POLICY)
-    assert parse_policy(format_policy(policy)) == policy
+    for policy in [
+        parse_policy(ANALYST_POLICY),
+        permissive_policy(["a", "b"], ["pandas==2.0"]),
+        Policy((Principal("p", ("r,s",)),), (Role("r,s", ()),), ()),
+        Policy(tuple(Principal(f"p{c}q", (f"r{c}",)) for c in _AWKWARD),
+               tuple(Role(f"r{c}", (Permission("ReadTable", (f"m{c}*", f"{c}?")),
+                                    Permission("MergeInto", (c,))))
+                     for c in _AWKWARD), ()),
+    ]:
+        assert parse_policy(format_policy(policy)) == policy
+
+
+def test_format_policy_writes_toml_basic_strings():
+    text = format_policy(Policy((), (Role('a"\\\x00\x1f\x7f\u00e9\U0001f600', ()),), ()))
+    assert 'name = "a\\"\\\\\\u0000\\u001f\\u007f\u00e9\U0001f600"' in text
 
 
 # --- governor / audit --------------------------------------------------------------

@@ -121,6 +121,50 @@ def test_check_isolation_flags_fabricated_torn_read():
     assert check_isolation(fine) == []
 
 
+def _isolation_reference(trace):
+    """The scan check_isolation replaced: every read group against every
+    commit map."""
+    violations = []
+    maps = list(trace.commits.values())
+    for event in trace.events:
+        reads = event.fields.get("reads")
+        if not reads:
+            continue
+        if not any(all(m.get(table) == snapshot for table, snapshot in reads)
+                   for m in maps):
+            violations.append({"seq": event.seq, "agent": event.agent,
+                               "reads": list(reads)})
+    return violations
+
+
+def test_check_isolation_matches_reference_scan_on_random_traces():
+    rng = random.Random(1306)
+    tables = ["a", "b", "c", "d"]
+    flagged = 0
+    for _ in range(300):
+        commits = {}
+        for i in range(rng.randint(0, 12)):
+            commits[f"c{i}"] = {t: f"s{rng.randint(0, 3)}" for t in tables
+                                if rng.random() < 0.8}
+        maps = list(commits.values())
+        events = []
+        for seq in range(1, rng.randint(1, 15)):
+            picked = rng.sample(tables, rng.randint(1, 4))
+            if maps and rng.random() < 0.5:  # a group read from one map
+                m = rng.choice(maps)
+                reads = [[t, m[t]] for t in picked if t in m]
+            else:  # a mix of versions, possibly torn
+                reads = [[t, f"s{rng.randint(0, 4)}"] for t in picked]
+            if rng.random() < 0.1:
+                reads = []
+            events.append(TraceEvent(seq, rng.randint(0, 3), "scan", {"reads": reads}))
+        trace = Trace({}, "main", {}, {}, commits, events)
+        expected = _isolation_reference(trace)
+        assert check_isolation(trace) == expected
+        flagged += len(expected)
+    assert flagged > 100  # the traces do hold torn reads
+
+
 # --- serializability checker ---------------------------------------------------
 
 def _merge_event(seq, delta):
