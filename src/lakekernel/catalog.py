@@ -1,17 +1,18 @@
 """Git-like versioned catalog over tables.
 
 Commits are immutable nodes of a history DAG mapping table names to
-snapshot ids; branches are mutable refs advanced only by compare-and-swap
-under the flock of the refs journal, so the CAS is a real linearization
-point on disk shared by threads and processes alike. Each move appends one
-line `<old|-> <new|-> <branch>` to that journal ("-": absent), and a
-catalog replays only the lines appended since its last read. A commit is
-one line `<id> <body>` of a second journal, appended under the refs flock
-before the move that publishes it. Branching and merging move references
-only — they never touch snapshot content.
+snapshot ids; branches are mutable refs. Every ref move is decided under
+the flock of the refs journal, caught up to its end, so it is a real
+linearization point on disk shared by threads and processes alike. Each
+move appends one line `<old|-> <new|-> <branch>` to that journal ("-":
+absent), and a catalog replays only the lines appended since its last
+read. A commit is one line `<id> <body>` of a second journal, appended
+under the refs flock before the move that publishes it. Branching and
+merging move references only — they never touch snapshot content.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import re
@@ -91,7 +92,7 @@ class ReadSession:
 
 @dataclass(frozen=True)
 class MergeResult:
-    kind: str  # fast_forward | merge_commit | conflict | ref_raced
+    kind: str  # fast_forward | merge_commit | conflict
     commit_id: str | None = None
     conflicts: tuple[str, ...] = field(default_factory=tuple)
 
@@ -103,9 +104,6 @@ class MergeResult:
 FAST_FORWARD = "fast_forward"
 MERGE_COMMIT = "merge_commit"
 CONFLICT = "conflict"
-REF_RACED = "ref_raced"
-
-_MERGE_RETRIES = 5
 
 
 def _apply_moves(refs: dict, chunk: bytes, _offset: int) -> None:
@@ -136,31 +134,31 @@ class Catalog:
 
     def init(self, author: str = "system") -> Commit:
         """Create the root commit and main branch if the catalog is fresh."""
-        head = self._load_refs().get("main")
-        if head is None:
-            root = Commit.make([], {}, author, "root", self.clock.now())
-            head = self._cas_ref("main", None, root.id, write=root)
+        with self._locked_refs() as move:
+            head = self._refs.get("main")
             if head is None:
+                root = Commit.make([], {}, author, "root", self.clock.now())
+                move("main", root.id, write=root)
                 return root
         return self.get_commit(head)
 
     # -- refs ---------------------------------------------------------------
 
-    def _cas_ref(self, branch: str, expected: str | None, new: str | None,
-                 write: Commit | None = None) -> str | None:
-        """The one ref move: under the journal's flock, if `branch` is at
-        `expected` (None: absent), write `write` and append the move to
-        `new` (None: delete the ref). Returns the head found; the move
-        happened iff it is expected. The lock order is refs, then commits,
-        so a reader that sees a ref finds its commit."""
+    @contextlib.contextmanager
+    def _locked_refs(self):
+        """Hold the refs journal's flock, caught up to its end, so the caller
+        checks its precondition against every branch's current head. Yields
+        move(branch, new, write=None): append `write` to commits.log, then
+        move `branch` to `new` (None: delete it). The lock order is refs,
+        then commits, so a reader that sees a ref finds its commit."""
         with self._journal.locked() as append:
-            found = self._refs.get(branch)
-            if found != expected:
-                return found
-            if write is not None:
-                self._write_commit(write)
-            append(f"{expected or '-'} {new or '-'} {branch}".encode("utf-8"))
-            return found
+            def move(branch: str, new: str | None, write: Commit | None = None) -> None:
+                if write is not None:
+                    self._write_commit(write)
+                old = self._refs.get(branch)
+                append(f"{old or '-'} {new or '-'} {branch}".encode("utf-8"))
+
+            yield move
 
     def _load_refs(self):
         """The refs as of the journal's end, as a live read-only view: look
@@ -183,13 +181,10 @@ class Catalog:
     def resolve(self, ref: str) -> str:
         """Branch name or commit id -> commit id. No branch is named like a
         commit id, so a commit id resolves from commits.log alone."""
-        return self._resolve_in({} if _HEX_RE.fullmatch(ref) else self._load_refs(), ref)
-
-    def _resolve_in(self, refs: dict, ref: str) -> str:
         if _HEX_RE.fullmatch(ref):
             if self._locate(ref) is not None:
                 return ref
-        elif ref in refs:
+        elif ref in (refs := self._load_refs()):
             return refs[ref]
         raise UnknownRef(f"cannot resolve {ref!r}")
 
@@ -197,18 +192,21 @@ class Catalog:
         if not _BRANCH_RE.fullmatch(name) or _HEX_RE.fullmatch(name):
             raise LakeError(f"bad branch name {name!r}")
         target = self.resolve(from_ref)
-        if self._cas_ref(name, None, target) is not None:
-            raise BranchExists(f"branch {name!r} exists")
+        with self._locked_refs() as move:
+            if name in self._refs:
+                raise BranchExists(f"branch {name!r} exists")
+            move(name, target)
         return target
 
     def delete_branch(self, name: str) -> bool:
         """Remove a ref; tolerant of a missing branch. main is permanent."""
         if name == "main":
             raise LakeError("cannot delete main")
-        head = self._load_refs().get(name)
-        while head is not None and (found := self._cas_ref(name, head, None)) != head:
-            head = found  # moved since the read: delete what it points at now
-        return head is not None
+        with self._locked_refs() as move:
+            if name not in self._refs:
+                return False
+            move(name, None)
+        return True
 
     # -- commits --------------------------------------------------------------
 
@@ -261,12 +259,14 @@ class Catalog:
                     raise UnknownSnapshot(f"snapshot {change!r} not in store")
                 tables[name] = change
         commit = Commit.make([expected_head], tables, author, message, self.clock.now())
-        found = self._cas_ref(branch, expected_head, commit.id, write=commit)
-        if found is None:
-            raise UnknownBranch(f"no branch {branch!r}")
-        if found != expected_head:
-            raise StaleHead(f"{branch} moved to {found[:12]}, "
-                            f"expected {expected_head[:12]}")
+        with self._locked_refs() as move:
+            found = self._refs.get(branch)
+            if found is None:
+                raise UnknownBranch(f"no branch {branch!r}")
+            if found != expected_head:
+                raise StaleHead(f"{branch} moved to {found[:12]}, "
+                                f"expected {expected_head[:12]}")
+            move(branch, commit.id, write=commit)
         return commit
 
     # -- history --------------------------------------------------------------
@@ -374,16 +374,16 @@ class Catalog:
         """Three-way table-level merge of source into the target branch.
 
         Conflict granularity is the table: both sides changing the same
-        table since the base aborts with no state change. Retries the ref
-        CAS with a recomputed base up to a bound, then reports RefRaced.
+        table since the base aborts with no state change. Source and target
+        are resolved, and the base, the merged map and the move decided,
+        under the refs lock, so no other move can come between them.
         Performs zero snapshot-content reads or writes.
         """
-        for _ in range(1 + _MERGE_RETRIES):
-            refs = self._load_refs()
-            if target not in refs:
+        with self._locked_refs() as move:
+            target_head = self._refs.get(target)
+            if target_head is None:
                 raise UnknownBranch(f"no branch {target!r}")
-            target_head = refs[target]
-            source_head = self._resolve_in(refs, source)
+            source_head = self.resolve(source)
             base = self.merge_base(source_head, target_head)
             src_map = self.get_commit(source_head).tables
             tgt_map = self.get_commit(target_head).tables
@@ -391,19 +391,10 @@ class Catalog:
             merged: dict[str, str] = {}
             conflicts = []
             for name in sorted(set(src_map) | set(tgt_map) | set(base_map)):
-                b = base_map.get(name)
-                s = src_map.get(name)
-                t = tgt_map.get(name)
-                if s == b:
-                    pick = t
-                elif t == b:
-                    pick = s
-                elif s == t:
-                    pick = s
-                else:
+                b, s, t = base_map.get(name), src_map.get(name), tgt_map.get(name)
+                if b != s != t != b:  # both sides changed it, differently
                     conflicts.append(name)
-                    continue
-                if pick is not None:
+                elif (pick := t if s == b else s) is not None:
                     merged[name] = pick
             if conflicts:
                 return MergeResult(CONFLICT, conflicts=tuple(conflicts))
@@ -413,6 +404,5 @@ class Catalog:
                 commit = Commit.make([target_head, source_head], merged, author,
                                      message or f"merge into {target}", self.clock.now())
                 kind, new = MERGE_COMMIT, commit.id
-            if self._cas_ref(target, target_head, new, write=commit) == target_head:
-                return MergeResult(kind, commit_id=new)
-        return MergeResult(REF_RACED)
+            move(target, new, write=commit)
+        return MergeResult(kind, commit_id=new)

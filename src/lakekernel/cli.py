@@ -108,10 +108,10 @@ def _table_json(table: TableData) -> dict:
 # --- commands ---------------------------------------------------------------
 
 def cmd_init(ctx: _Ctx) -> int:
-    ctx.data_dir.mkdir(parents=True, exist_ok=True)
-    if ctx.args.policy:
+    if ctx.args.policy:  # the kernel creates the data dir when there is none
         text = Path(ctx.args.policy).read_text("utf-8")
-        governance.parse_policy(text)  # reject bad files before adopting them
+        governance.parse_policy(text)  # reject bad files before creating anything
+        ctx.data_dir.mkdir(parents=True, exist_ok=True)
         atomic_write(ctx.data_dir / "policy.toml", text.encode("utf-8"))
     root = ctx.kernel().init()
     ctx.emit({"root": root.id, "data_dir": str(ctx.data_dir)},

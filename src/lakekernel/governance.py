@@ -129,6 +129,9 @@ class Policy:
                     raise InvalidPolicy(
                         f"principal {principal.name!r} references "
                         f"undefined role {role!r}")
+        for role in self.roles:  # Permission.text joins args with ':'
+            if any(":" in arg for perm in role.permissions for arg in perm.args):
+                raise InvalidPolicy(f"role {role.name!r} has a ':' in a permission glob")
         for pkg in self.whitelist:
             if not PKG_PIN_RE.fullmatch(pkg):
                 raise InvalidPolicy(f"bad whitelist entry {pkg!r}")

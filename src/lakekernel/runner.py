@@ -240,7 +240,10 @@ class Runner:
         if failed:
             return finish(FAILED_OPEN)
 
-        verdicts = kernel.verifiers.evaluate(spec.name, head, run_id)
+        try:
+            verdicts = kernel.verifiers.evaluate(spec.name, head, run_id)
+        except LakeError as exc:  # a verifier step that cannot run fails closed, like a publish
+            return finish(DENIED, reason=f"{type(exc).__name__}: {exc}")
         failing = tuple(v.verifier for v in verdicts if v.verdict != "pass")
         if failing:
             return finish(VERIFIER_REJECTED, verdicts, rejected=failing)

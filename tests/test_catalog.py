@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -143,6 +144,86 @@ for i in range(10):
     assert len(cat.log("main")) == 21  # root + 2 x 10, none lost
     tables = cat.table_map("main")
     assert len(tables) == 20
+
+
+_MERGER = r"""
+import sys
+from lakekernel.catalog import Catalog
+from lakekernel.store import SnapshotStore, TableData
+from lakekernel.util import StepClock
+
+root, worker, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store = SnapshotStore(root)
+cat = Catalog(root, store, StepClock())
+print("ready", flush=True)
+sys.stdin.readline()  # start together
+for i in range(rounds):
+    branch = f"w{worker}/{i}"
+    cat.create_branch(branch, "main")
+    sid = store.put_snapshot(TableData.build(["v:int64"], [(int(worker) * 100 + i,)]))
+    cat.commit_tables(branch, {f"t_{worker}_{i}": sid}, cat.head(branch), branch, "x")
+    kind = cat.merge(branch, "main", branch).kind
+    if kind not in ("fast_forward", "merge_commit"):
+        sys.exit(f"{branch}: {kind}")
+"""
+
+
+def test_concurrent_merges_each_publish_under_the_lock(tmp_path):
+    """Threads on one catalog branch, commit and merge distinct tables into
+    main; every merge lands, with no retry by the caller."""
+    cat, store = make_catalog(tmp_path)
+    kinds, errors = [], []
+
+    def merger(worker):
+        try:
+            for i in range(25):
+                branch = f"w{worker}/{i}"
+                cat.create_branch(branch, "main")
+                sid = snap(store, worker * 100 + i)
+                cat.commit_tables(branch, {f"t_{worker}_{i}": sid}, cat.head(branch), "x", "t")
+                kinds.append(cat.merge(branch, "main", "x").kind)
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=merger, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the locked section too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(kinds) == 100 and set(kinds) <= {FAST_FORWARD, MERGE_COMMIT}
+    assert sorted(cat.table_map("main")) == sorted(
+        f"t_{w}_{i}" for w in range(4) for i in range(25))
+
+
+def test_cross_process_merges_each_publish_under_the_lock(tmp_path):
+    import subprocess
+
+    cat, _ = make_catalog(tmp_path)
+    procs = [subprocess.Popen([sys.executable, "-c", _MERGER, str(tmp_path / "lake"),
+                               str(n), "10"], env=child_env(), text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for n in (1, 2)]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.close()
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.stdout.close()
+    assert sorted(cat.table_map("main")) == sorted(
+        f"t_{w}_{i}" for w in (1, 2) for i in range(10))
 
 
 def _files(root):  # a rewrite by rename shows as a new inode
@@ -648,8 +729,23 @@ def test_merge_unknown_target(tmp_path):
         cat.merge("main", "nope", "x")
 
 
+def test_refused_merges_append_nothing(tmp_path):
+    cat, store = make_catalog(tmp_path)
+    cat.commit_tables("main", {"a": snap(store, 0)}, cat.head("main"), "x", "base")
+    cat.create_branch("dev", "main")
+    cat.commit_tables("dev", {"a": snap(store, 1)}, cat.head("dev"), "x", "dev a")
+    cat.commit_tables("main", {"a": snap(store, 2)}, cat.head("main"), "x", "main a")
+    root = tmp_path / "lake"
+    before = [(root / name).read_bytes() for name in ("refs.log", "commits.log")]
+    with pytest.raises(UnknownBranch):
+        cat.merge("dev", "nope", "x")
+    assert cat.merge("dev", "main", "x").kind == CONFLICT
+    assert [(root / name).read_bytes() for name in ("refs.log", "commits.log")] == before
+
+
 def test_governed_merge_reads_refs_at_most_three_times(kernel, monkeypatch):
-    """One read to resolve the source, one per merge attempt, one in the CAS."""
+    """One read to resolve the source and one as the merge takes the refs
+    lock: two, inside the bound."""
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
     kernel.create_branch("dev", "main", "alice")
     kernel.commit_tables("dev", {"t": sid}, kernel.catalog.head("dev"), "alice", "t")

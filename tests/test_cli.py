@@ -77,6 +77,17 @@ def test_init_is_idempotent(env, capsys):
     assert code == 0 and len(body["root"]) == 64
 
 
+def test_init_with_a_bad_policy_file_creates_no_data_dir(tmp_path, capsys):
+    policy = tmp_path / "policy.toml"
+    data = tmp_path / "lake"
+    for bad in ('whitelist = ["pandas==2.0"\n', '[[role]]\npermissions = []\n'):
+        policy.write_text(bad)
+        code, body = run_json(capsys, ["--data-dir", str(data), "init",
+                                       "--policy", str(policy)])
+        assert code == 1 and body["error"] in ("ParseError", "InvalidPolicy"), bad
+        assert not data.exists()
+
+
 def test_usage_error_exits_2(env):
     with pytest.raises(SystemExit) as exc:
         main(["--data-dir", env["data"], "branch"])  # missing action
@@ -343,9 +354,10 @@ def test_corrupt_verdict_files_refuse_every_merge(env, capsys):
 
 
 def test_corrupt_verifier_files_are_errors_that_name_the_file(env, capsys):
-    """A torn, non-JSON or misshapen verifier file ends `verifier list` and
-    every run's verifier step with a CorruptRecord error naming the file,
-    and the run publishes nothing."""
+    """A torn, non-JSON or misshapen verifier file ends `verifier list` with
+    a CorruptRecord error naming the file, and ends every run's verifier
+    step `denied` with a reason naming it: the run is reported, its temp
+    branch stays open, and it publishes nothing."""
     data = env["data"]
     assert main(["--data-dir", data, *_NONEMPTY]) == 0
     path = Path(data) / "verifiers" / "nonempty.json"
@@ -354,12 +366,19 @@ def test_corrupt_verifier_files_are_errors_that_name_the_file(env, capsys):
     for bad in (good[:len(good) // 2], b"\xff", b"[]", b"{}",
                 good.replace(b"SELECT", b"SELEKT")):
         path.write_bytes(bad)
-        for command in (["verifier", "list"], ["run", env["pipe"], "--as", "dana"]):
-            code, body = run_json(capsys, ["--data-dir", data, *command])
-            assert (code, body["error"]) == (1, "CorruptRecord"), (command, bad)
-            assert str(path) in body["reason"]
+        code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
+        assert (code, body["error"]) == (1, "CorruptRecord"), bad
+        assert str(path) in body["reason"]
+        code, report = run_json(capsys, ["--data-dir", data, "run", env["pipe"],
+                                         "--as", "dana"])
+        assert (code, report["outcome"]["kind"]) == (1, "denied"), bad
+        assert report["outcome"]["reason"].startswith("CorruptRecord: ")
+        assert str(path) in report["outcome"]["reason"]
+        runs = run_json(capsys, ["--data-dir", data, "runs", "list"])[1]["runs"]
+        assert report["run_id"] in [r["run_id"] for r in runs]
         branches = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]
         assert branches["main"] == head
+        assert report["temp_branch"] in branches
     path.write_bytes(good)
     code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
     assert code == 0 and [v["name"] for v in body["verifiers"]] == ["nonempty"]

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from lakekernel.engine import EnvSpec
-from lakekernel.errors import Denied, InvalidPolicy, ParseError
+from lakekernel.errors import Denied, InvalidPolicy, LakeError, ParseError
 from lakekernel.governance import (
     EMPTY_POLICY,
     Governor,
@@ -269,6 +269,23 @@ def test_format_parse_roundtrip():
                      for c in _AWKWARD), ()),
     ]:
         assert parse_policy(format_policy(policy)) == policy
+
+
+def test_policy_rejects_a_colon_inside_a_role_glob():
+    """format_policy would write such a glob as more arguments than it has."""
+    for perm in (Permission("WriteBranch", ("a:b",)), Permission("WriteBranch", (":",)),
+                 Permission("ReadTable", ("main", "t:*"))):
+        with pytest.raises(InvalidPolicy):
+            Policy((), (Role("r", (perm,)),), ())
+
+
+def test_create_branch_with_a_colon_is_audited_and_refused(kernel):
+    """A kernel-built action may hold ':'; the catalog refuses the name."""
+    with pytest.raises(LakeError, match="bad branch name"):
+        kernel.create_branch("a:b", "main", "alice")
+    last = kernel.governor.records[-1]
+    assert (last.principal, last.action, last.allowed) == ("alice", "CreateBranch:a:b", True)
+    assert "a:b" not in kernel.catalog.branches()
 
 
 def test_format_policy_writes_toml_basic_strings():
