@@ -201,11 +201,7 @@ def _report_human(report) -> str:
 
 
 def _run_exit_code(report) -> int:
-    if report.outcome.kind in (DRY_RUN, SUCCEEDED_OPEN):
-        return 0
-    if report.outcome.kind == MERGED and report.outcome.merge.ok:
-        return 0
-    return 1
+    return 0 if report.outcome.kind in (DRY_RUN, MERGED, SUCCEEDED_OPEN) else 1
 
 
 def cmd_run(ctx: _Ctx) -> int:
@@ -311,13 +307,14 @@ def cmd_heal(ctx: _Ctx) -> int:
             patches.append(parse_pipeline(path.read_text("utf-8")))
     agent = healer.BaselineAgent(patches)
     result = healer.heal(kernel, ctx.args.run_id, agent, ctx.args.budget, principal)
-    if isinstance(result, healer.Proposal):
-        payload = {"proposal": result.branch, "attempts": result.attempts,
-                   "diff": [[n, s] for n, s in result.diff],
-                   "run_id": result.run_report.run_id}
-        human = (f"proposal ready on {result.branch} after "
-                 f"{result.attempts} attempt(s); diff vs {result.target_branch}: "
-                 + ", ".join(f"{n}({s})" for n, s in result.diff))
+    report = result.proposal
+    if report is not None:
+        diff = kernel.catalog.diff(report.target_branch, report.temp_branch)
+        payload = {"proposal": report.temp_branch, "attempts": len(result.history),
+                   "diff": [[n, s] for n, s in diff], "run_id": report.run_id}
+        human = (f"proposal ready on {report.temp_branch} after "
+                 f"{len(result.history)} attempt(s); diff vs {report.target_branch}: "
+                 + ", ".join(f"{n}({s})" for n, s in diff))
         ctx.emit(payload, human)
         return 0
     payload = {"gave_up": True,
@@ -332,8 +329,8 @@ def cmd_heal(ctx: _Ctx) -> int:
 def cmd_approve(ctx: _Ctx) -> int:
     principal = ctx.require_principal()
     kernel = ctx.kernel()
-    proposal = healer.find_proposal(kernel, ctx.args.proposal)
-    result = healer.approve(kernel, proposal, principal)
+    report = healer.find_proposal(kernel, ctx.args.proposal)
+    result = healer.approve(kernel, report, principal)
     ctx.emit(asdict(result), f"approve: {result.kind} "
                              f"{result.commit_id[:12] if result.commit_id else ''}")
     return 0 if result.ok else 1

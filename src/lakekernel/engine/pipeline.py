@@ -143,7 +143,6 @@ def _parse_node(lines: _Lines, name: str, header_line: int) -> NodeSpec:
     fields = {}
     query_text = None
     query_line = None
-    field_indent = None
     for expected in ("inputs", "env", "materialize", "query"):
         entry = lines.next_significant()
         if entry is None:
@@ -152,8 +151,6 @@ def _parse_node(lines: _Lines, name: str, header_line: int) -> NodeSpec:
         indent = _indent_of(raw)
         if indent == 0:
             raise ParseError(f"node {name!r} missing field {expected!r}", lineno)
-        if field_indent is None:
-            field_indent = indent
         key, sep, value = raw.strip().partition(":")
         if not sep or key.strip() != expected:
             raise ParseError(f"expected field {expected!r} in node {name!r}", lineno)

@@ -121,7 +121,7 @@ def _transactional_variant(data_dir) -> tuple[Trace, bool]:
         "head_after": head_after,
         "published_delta": published_delta(kernel.catalog, report1)})
     published_atomically = (
-        report1.outcome.kind == MERGED and report1.outcome.merge.ok
+        report1.outcome.kind == MERGED
         and set(kernel.catalog.diff(head_before, head_after))
         == {("table_a", "Added"), ("table_b", "Added")})
 

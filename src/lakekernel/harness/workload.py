@@ -118,7 +118,7 @@ class _Agent:
         fields = {"outcome": report.outcome.kind, "head_before": head_before,
                   "head_after": self.kernel.catalog.head("main")}
         merge = report.outcome.merge
-        if report.outcome.kind == MERGED and merge is not None and merge.ok:
+        if report.outcome.kind == MERGED:
             fields["merge_kind"] = merge.kind
             fields["merge_commit"] = merge.commit_id
             fields["published_delta"] = published_delta(self.kernel.catalog, report)

@@ -1,59 +1,26 @@
 """Self-healing loop with a pluggable repair agent.
 
-The agent only ever sees plain data (failure context, pipeline spec,
-attempt history) and proposes whole-pipeline rewrites; each candidate is
+The agent is handed the failed run's report, the pipeline spec and the
+attempt history, and proposes whole-pipeline rewrites; each candidate is
 executed as a run-without-merge on a fresh temp branch under the agent's
 own principal, so the target branch provably never moves until a human
-approves the winning branch.
+approves. A proposal is the report of the verified run itself, and
+`approve` publishes exactly the commit that run left.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import MergeResult
 from .engine import PipelineSpec, parse_pipeline
 from .errors import LakeError, StaleProposal, UnknownRun
-from .runner import FAILED, FAILED_OPEN, RunOptions, RunReport, SUCCEEDED, SUCCEEDED_OPEN
-
-
-@dataclass(frozen=True)
-class FailureContext:
-    run_id: str
-    pipeline: str
-    target_branch: str
-    temp_branch: str
-    base_commit: str
-    failed_node: str
-    error: str
-
-
-def failure_context(report: RunReport) -> FailureContext:
-    """Derive the repair context from a FailedOpen run report."""
-    if report.outcome.kind != FAILED_OPEN:
-        raise UnknownRun(f"run {report.run_id} did not fail open "
-                         f"(outcome {report.outcome.kind})")
-    failed_node = None
-    error = None
-    last_ok = None
-    for result in report.node_results:
-        if result.status == FAILED:
-            failed_node = result.node
-            error = result.error
-            break
-        if result.status == SUCCEEDED:
-            last_ok = result.node
-    if failed_node is None:
-        failed_node = last_ok or report.node_results[0].node
-        error = f"injected fault after {failed_node}"
-    return FailureContext(report.run_id, report.pipeline, report.target_branch,
-                          report.temp_branch, report.base_commit,
-                          failed_node, error)
+from .runner import FAILED, FAILED_OPEN, RunOptions, RunReport, SUCCEEDED_OPEN
 
 
 class RepairAgent:
     """Interface: produce a candidate patched pipeline or give up (None)."""
 
-    def propose(self, context: FailureContext, spec: PipelineSpec,
+    def propose(self, failed: RunReport, spec: PipelineSpec,
                 history: list) -> PipelineSpec | None:
         raise NotImplementedError
 
@@ -65,7 +32,7 @@ class BaselineAgent(RepairAgent):
     def __init__(self, patches: list[PipelineSpec]):
         self.patches = list(patches)
 
-    def propose(self, context, spec, history):
+    def propose(self, failed, spec, history):
         attempt = len(history)
         if attempt >= len(self.patches):
             return None
@@ -81,38 +48,31 @@ class Attempt:
 
 
 @dataclass(frozen=True)
-class Proposal:
-    branch: str
-    target_branch: str
-    run_report: RunReport
-    verdicts: tuple
-    attempts: int
-    diff: tuple  # table-level diff target -> proposal branch
-
-
-@dataclass(frozen=True)
-class GaveUp:
-    history: tuple = field(default_factory=tuple)
+class HealResult:
+    history: tuple[Attempt, ...]
+    proposal: RunReport | None = None  # the verified run, open for review
 
 
 def heal(kernel, failed_run_id: str, agent: RepairAgent, budget: int,
-         principal: str):
+         principal: str) -> HealResult:
     """Iterate candidate fixes on branches, gated by verifiers.
 
-    Returns a Proposal for the first attempt whose run succeeds with all
-    verifiers passing, or GaveUp with the attempt history. The target
-    branch is never written."""
+    The proposal is the report of the first attempt whose run succeeds
+    with all verifiers passing, or None when the agent gave up or the
+    budget ran out. The target branch is never written."""
     failed = kernel.get_run(failed_run_id)
-    context = failure_context(failed)
+    if failed.outcome.kind != FAILED_OPEN:
+        raise UnknownRun(f"run {failed.run_id} did not fail open "
+                         f"(outcome {failed.outcome.kind})")
     spec = parse_pipeline(failed.pipeline_text)
     history: list[Attempt] = []
     for attempt in range(budget):
-        patch = agent.propose(context, spec, history)
+        patch = agent.propose(failed, spec, history)
         if patch is None:
             history.append(Attempt(attempt, "gave_up", "agent has no more patches"))
-            return GaveUp(tuple(history))
+            break
         try:
-            report = kernel.run(patch, context.target_branch,
+            report = kernel.run(patch, failed.target_branch,
                                 RunOptions(principal=principal, skip_merge=True))
         except LakeError as exc:
             history.append(Attempt(attempt, "rejected",
@@ -120,12 +80,10 @@ def heal(kernel, failed_run_id: str, agent: RepairAgent, budget: int,
             continue
         if report.outcome.kind == SUCCEEDED_OPEN:
             history.append(Attempt(attempt, "succeeded", "", report.run_id))
-            diff = kernel.catalog.diff(context.target_branch, report.temp_branch)
-            return Proposal(report.temp_branch, context.target_branch, report,
-                            report.verdicts, attempt + 1, tuple(diff))
+            return HealResult(tuple(history), report)
         history.append(Attempt(attempt, report.outcome.kind,
                                _outcome_detail(report), report.run_id))
-    return GaveUp(tuple(history))
+    return HealResult(tuple(history))
 
 
 def _outcome_detail(report: RunReport) -> str:
@@ -139,30 +97,34 @@ def _outcome_detail(report: RunReport) -> str:
     return report.outcome.reason or report.outcome.kind
 
 
-def approve(kernel, proposal: Proposal, principal: str) -> MergeResult:
-    """Review-then-merge: publish a verified proposal branch to its target.
+def approve(kernel, report: RunReport, principal: str) -> MergeResult:
+    """Review-then-merge: publish the commit a verified run left on its
+    temp branch to the run's target.
 
-    Refuses when the branch advanced past the verified commit (the verdicts
-    are bound to that exact head) and propagates merge conflicts."""
-    head = kernel.catalog.resolve(proposal.branch)
-    verified = proposal.run_report.final_commit()
+    Refuses a run that did not end succeeded_open, and a branch that
+    advanced past the verified commit (the verdicts are bound to that
+    exact head); merge conflicts come back as the result."""
+    if report.outcome.kind != SUCCEEDED_OPEN:
+        raise UnknownRun(f"run {report.run_id} is no proposal "
+                         f"(outcome {report.outcome.kind})")
+    head = kernel.catalog.resolve(report.temp_branch)
+    verified = report.final_commit()
     if head != verified:
-        raise StaleProposal(f"branch {proposal.branch} advanced to "
+        raise StaleProposal(f"branch {report.temp_branch} advanced to "
                             f"{head[:12]}, verified {verified[:12]}")
-    for verdict in proposal.verdicts:
+    # a report read back from runs.log is outside input: check each verdict
+    for verdict in report.verdicts:
         if verdict.evaluated_at != head:
             raise StaleProposal(f"verdict {verdict.verifier} bound to "
                                 f"{verdict.evaluated_at[:12]}, head {head[:12]}")
-    return kernel.merge(head, proposal.target_branch, principal,
-                        message=f"publish {proposal.run_report.pipeline}")
+    return kernel.merge(head, report.target_branch, principal,
+                        message=f"publish {report.pipeline}")
 
 
-def find_proposal(kernel, branch: str) -> Proposal:
-    """Rebuild a Proposal from the persisted report of the run that made
-    branch run/<pipeline>/<run_id> (CLI approve path)."""
+def find_proposal(kernel, branch: str) -> RunReport:
+    """The report of the run that made branch run/<pipeline>/<run_id>
+    (CLI approve path); `approve` decides whether it is a proposal."""
     report = kernel.get_run(branch.rsplit("/", 1)[-1])
-    if report.temp_branch != branch or report.outcome.kind != SUCCEEDED_OPEN:
-        raise UnknownRun(f"no reviewed run produced branch {branch!r}")
-    diff = kernel.catalog.diff(report.target_branch, branch)
-    return Proposal(branch, report.target_branch, report,
-                    report.verdicts, 1, tuple(diff))
+    if report.temp_branch != branch:
+        raise UnknownRun(f"no run produced branch {branch!r}")
+    return report

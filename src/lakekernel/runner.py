@@ -32,7 +32,8 @@ SUCCEEDED = "succeeded"
 FAILED = "failed"
 SKIPPED = "skipped"
 
-MERGED = "merged"
+MERGED = "merged"  # the publish landed
+CONFLICT = "conflict"  # nothing landed; the temp branch stays open
 FAILED_OPEN = "failed_open"
 VERIFIER_REJECTED = "verifier_rejected"
 DENIED = "denied"
@@ -62,7 +63,7 @@ class NodeResult:
 @dataclass(frozen=True)
 class Outcome:
     kind: str
-    merge: MergeResult | None = None  # for merged
+    merge: MergeResult | None = None  # for merged and conflict
     temp_branch: str | None = None  # for failed_open
     rejected: tuple[str, ...] = ()  # failing verifier names
     reason: str | None = None  # for denied
@@ -127,10 +128,6 @@ def _decoder(hint):
             raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
         return value
     return leaf
-
-
-class _InjectedCrash(Exception):
-    """Fault injection: the process 'dies' right after a node's commit."""
 
 
 class Runner:
@@ -208,8 +205,7 @@ class Runner:
                 append(run_id.encode("ascii") + b" " + body)
             return report
 
-        failed = False
-        for node in spec.nodes:
+        for i, node in enumerate(spec.nodes):
             started = time.perf_counter()
             try:
                 table = execute_plan(plans[node.name],
@@ -218,27 +214,17 @@ class Runner:
                 head = kernel.commit_tables(
                     temp, {node.name: sid}, head,
                     opts.principal, f"materialize {node.name}").id
-                tables[node.name] = table
-                results.append(NodeResult(node.name, SUCCEEDED, head))
-                timings[node.name] = (time.perf_counter() - started) * 1000.0
-                if opts.fail_after == node.name:
-                    raise _InjectedCrash(node.name)
-            except _InjectedCrash:
-                failed = True
-                break
             except LakeError as exc:
-                timings[node.name] = (time.perf_counter() - started) * 1000.0
                 results.append(NodeResult(node.name, FAILED,
                                           error=f"{type(exc).__name__}: {exc}"))
-                failed = True
-                break
-        done = {r.node for r in results}
-        for name in plans:
-            if name not in done:
-                results.append(NodeResult(name, SKIPPED))
-
-        if failed:
-            return finish(FAILED_OPEN)
+            else:
+                tables[node.name] = table
+                results.append(NodeResult(node.name, SUCCEEDED, head))
+            timings[node.name] = (time.perf_counter() - started) * 1000.0
+            # a failed node, or a crash injected right after this node's commit
+            if results[-1].status == FAILED or opts.fail_after == node.name:
+                results.extend(NodeResult(n.name, SKIPPED) for n in spec.nodes[i + 1:])
+                return finish(FAILED_OPEN)
 
         try:
             verdicts = kernel.verifiers.evaluate(spec.name, head, run_id)
@@ -256,7 +242,7 @@ class Runner:
                                  message=f"publish {spec.name}")
         except LakeError as exc:
             return finish(DENIED, verdicts, reason=str(exc))
-        return finish(MERGED, verdicts, merge=merge)
+        return finish(MERGED if merge.ok else CONFLICT, verdicts, merge=merge)
 
     # -- hygiene ---------------------------------------------------------------
 

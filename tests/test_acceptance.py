@@ -27,7 +27,7 @@ from lakekernel.harness import (
     scenario_atomic_publication,
     simulate,
 )
-from lakekernel.healer import BaselineAgent, GaveUp, Proposal, approve, heal
+from lakekernel.healer import BaselineAgent, approve, heal
 from lakekernel.kernel import LakeKernel
 from lakekernel.runner import FAILED_OPEN, MERGED, RunOptions
 from lakekernel.store import TableData
@@ -336,36 +336,37 @@ roles = ["repair"]
     main_before = kernel.catalog.head("main")
     result = heal(kernel, failed.run_id, BaselineAgent(patches),
                   budget=len(patches), principal="fixer")
-    assert isinstance(result, Proposal)
-    assert result.attempts <= len(patches)
+    assert result.proposal is not None
+    assert len(result.history) <= len(patches)
     assert kernel.catalog.head("main") == main_before  # untouched until approve
-    assert [v.verdict for v in result.verdicts] == ["pass"]
+    assert [v.verdict for v in result.proposal.verdicts] == ["pass"]
 
     with pytest.raises(Denied):
-        approve(kernel, result, "fixer")  # unauthorized principal
+        approve(kernel, result.proposal, "fixer")  # unauthorized principal
     assert kernel.catalog.head("main") == main_before
 
     # verdict-commit binding: advancing the branch invalidates the proposal
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(9,)]))
-    kernel.commit_tables(result.branch, {"drift": sid},
-                         kernel.catalog.resolve(result.branch), "dana", "advance")
+    kernel.commit_tables(result.proposal.temp_branch, {"drift": sid},
+                         kernel.catalog.resolve(result.proposal.temp_branch),
+                         "dana", "advance")
     with pytest.raises(StaleProposal):
-        approve(kernel, result, "dana")
+        approve(kernel, result.proposal, "dana")
 
     # a fresh heal produces an approvable proposal
     retry = heal(kernel, failed.run_id, BaselineAgent(patches),
                  budget=1, principal="fixer")
-    merged = approve(kernel, retry, "dana")
+    merged = approve(kernel, retry.proposal, "dana")
     assert merged.ok
     out = kernel.query("SELECT k, r FROM ratios", "main", "dana")
     assert out.rows == ((2, 20),)
 
-    # an exhausted budget is an honest GaveUp
+    # an exhausted budget honestly gives up: no proposal
     failed2 = kernel.run(BROKEN.replace("metrics", "metrics2"), "main",
                          RunOptions(principal="dana"))
     gave = heal(kernel, failed2.run_id, BaselineAgent([]), budget=2,
                 principal="fixer")
-    assert isinstance(gave, GaveUp)
+    assert gave.proposal is None
 
 
 def _deterministic_session(path, seed):

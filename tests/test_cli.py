@@ -16,6 +16,7 @@ from lakekernel import cli
 from lakekernel.cli import main
 from lakekernel.runner import RunOptions, Runner
 from lakekernel.store import TableData
+from lakekernel.verify import VerifierRegistry
 
 POLICY = """\
 whitelist = ["pandas==2.0", "polars==0.88"]
@@ -382,6 +383,33 @@ def test_corrupt_verifier_files_are_errors_that_name_the_file(env, capsys):
     path.write_bytes(good)
     code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
     assert code == 0 and [v["name"] for v in body["verifiers"]] == ["nonempty"]
+
+
+def test_conflicting_publish_ends_conflict_with_its_branch_open(env, capsys, monkeypatch):
+    """main gains its own t_a while the run's verifier step runs: the publish
+    conflicts, so the run ends `conflict`, not `merged`; nothing lands, the
+    temp branch stays open and `run` exits 1."""
+    data = env["data"]
+    real_evaluate = VerifierRegistry.evaluate
+
+    def commit_then_evaluate(self, pipeline, commit_id, run_id):
+        sid = self.catalog.store.put_snapshot(TableData.build(["v:int64"], [(7,)]))
+        self.catalog.commit_tables("main", {"t_a": sid}, self.catalog.head("main"),
+                                   "dana", "race")
+        return real_evaluate(self, pipeline, commit_id, run_id)
+
+    monkeypatch.setattr(VerifierRegistry, "evaluate", commit_then_evaluate)
+    code, report = run_json(capsys, ["--data-dir", data, "run", env["pipe"], "--as", "dana"])
+    assert code == 1
+    assert report["outcome"]["kind"] == "conflict"
+    assert report["outcome"]["merge"] == {"kind": "conflict", "commit_id": None,
+                                          "conflicts": ["t_a"]}
+    branches = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]
+    assert report["temp_branch"] in branches
+    log = run_json(capsys, ["--data-dir", data, "log", "main"])[1]["commits"]
+    assert log[0]["message"] == "race"  # the race's commit, and no publish after it
+    code, shown = run_json(capsys, ["--data-dir", data, "runs", "show", report["run_id"]])
+    assert (code, shown) == (0, report)
 
 
 def _merged_run(capsys, env) -> str:

@@ -7,15 +7,12 @@ from lakekernel.errors import Denied, StaleProposal, UnknownRun
 from lakekernel.governance import parse_policy
 from lakekernel.healer import (
     BaselineAgent,
-    GaveUp,
-    Proposal,
     RepairAgent,
     approve,
-    failure_context,
     find_proposal,
     heal,
 )
-from lakekernel.runner import FAILED_OPEN, RunOptions
+from lakekernel.runner import FAILED_OPEN, RunOptions, VERIFIER_REJECTED
 from lakekernel.store import TableData
 from lakekernel.util import Journal
 
@@ -74,23 +71,33 @@ def fail_run(kernel):
     return report
 
 
-def test_failure_context_derivation(healing_kernel):
+def test_agent_receives_the_failed_report(healing_kernel):
     report = fail_run(healing_kernel)
-    ctx = failure_context(report)
-    assert ctx.failed_node == "ratios"
-    assert "division by zero" in ctx.error
-    assert ctx.temp_branch == report.temp_branch
-    assert ctx.base_commit == report.base_commit
+    seen = []
+
+    class Recorder(RepairAgent):
+        def propose(self, failed, spec, history):
+            seen.append(failed)
+            return None
+
+    heal(healing_kernel, report.run_id, Recorder(), budget=1, principal="fixer")
+    assert seen == [report]
+    failed, = seen
+    assert failed.node_results[0].node == "ratios"
+    assert "division by zero" in failed.node_results[0].error
+    assert failed.temp_branch == report.temp_branch
+    assert failed.base_commit == report.base_commit
 
 
-def test_failure_context_requires_failed_open(kernel):
+def test_heal_requires_a_failed_open_run(kernel):
     table = TableData.build(["k:int64", "x:int64"], [(2, 10)])
     sid = kernel.store.put_snapshot(table)
     kernel.catalog.commit_tables("main", {"raw": sid}, kernel.catalog.head("main"),
                                  "alice", "seed")
     ok = kernel.run(GUARDED, "main", RunOptions(principal="alice"))
     with pytest.raises(UnknownRun):
-        failure_context(ok)
+        heal(kernel, ok.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
+             budget=1, principal="alice")
 
 
 def test_heal_repairs_div_by_zero_in_one_attempt(healing_kernel):
@@ -99,12 +106,13 @@ def test_heal_repairs_div_by_zero_in_one_attempt(healing_kernel):
     main_before = kernel.catalog.head("main")
     result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=3, principal="fixer")
-    assert isinstance(result, Proposal)
-    assert result.attempts == 1
+    assert result.proposal is not None
+    assert len(result.history) == 1
     assert kernel.catalog.head("main") == main_before  # untouched until approve
     # the proposal diff touches only the pipeline's output table
-    assert [name for name, _ in result.diff] == ["ratios"]
-    merged = approve(kernel, result, "dana")
+    diff = kernel.catalog.diff("main", result.proposal.temp_branch)
+    assert [name for name, _ in diff] == ["ratios"]
+    merged = approve(kernel, result.proposal, "dana")
     assert merged.ok
     out = kernel.query("SELECT k, r FROM ratios", "main", "dana")
     assert out.rows == ((2, 20),)  # k=1 row guarded away
@@ -115,8 +123,8 @@ def test_heal_tries_patches_in_order(healing_kernel):
     failed = fail_run(kernel)
     agent = BaselineAgent([parse_pipeline(STILL_BROKEN), parse_pipeline(GUARDED)])
     result = heal(kernel, failed.run_id, agent, budget=5, principal="fixer")
-    assert isinstance(result, Proposal)
-    assert result.attempts == 2
+    assert result.proposal is not None
+    assert len(result.history) == 2
 
 
 def test_heal_budget_zero_gives_up_without_side_effects(healing_kernel):
@@ -126,7 +134,7 @@ def test_heal_budget_zero_gives_up_without_side_effects(healing_kernel):
     runs = len(kernel.list_runs())
     result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=0, principal="fixer")
-    assert isinstance(result, GaveUp)
+    assert result.proposal is None
     assert kernel.catalog.branches() == refs
     assert len(kernel.list_runs()) == runs
 
@@ -136,7 +144,7 @@ def test_heal_empty_patch_list_gives_up_immediately(healing_kernel):
     failed = fail_run(kernel)
     result = heal(kernel, failed.run_id, BaselineAgent([]), budget=3,
                   principal="fixer")
-    assert isinstance(result, GaveUp)
+    assert result.proposal is None
     assert [a.result for a in result.history] == ["gave_up"]
 
 
@@ -147,7 +155,7 @@ def test_baseline_agent_is_deterministic(healing_kernel):
     for _ in range(2):
         agent = BaselineAgent([parse_pipeline(STILL_BROKEN)])
         result = heal(kernel, failed.run_id, agent, budget=2, principal="fixer")
-        assert isinstance(result, GaveUp)
+        assert result.proposal is None
         histories.append([(a.index, a.result) for a in result.history])
     assert histories[0] == histories[1]
 
@@ -159,11 +167,11 @@ def test_non_whitelisted_patch_rejected_and_counted(healing_kernel):
     refs_before = kernel.catalog.branches()
     agent = BaselineAgent([parse_pipeline(EVIL_ENV), parse_pipeline(GUARDED)])
     result = heal(kernel, failed.run_id, agent, budget=2, principal="fixer")
-    assert isinstance(result, Proposal)
-    assert result.attempts == 2  # the evil attempt consumed budget
+    assert result.proposal is not None
+    assert len(result.history) == 2  # the evil attempt consumed budget
     assert kernel.catalog.head("main") == main_before
     assert kernel.catalog.branches().keys() - refs_before.keys() == \
-        {result.branch}  # the evil attempt created no branch at all
+        {result.proposal.temp_branch}  # the evil attempt created no branch at all
 
 
 def test_adversarial_agent_cannot_mutate_target(healing_kernel):
@@ -174,11 +182,11 @@ def test_adversarial_agent_cannot_mutate_target(healing_kernel):
     main_before = kernel.catalog.head("main")
 
     class Adversary(RepairAgent):
-        def propose(self, context, spec, history):
+        def propose(self, failed, spec, history):
             if history:
                 return None
             with pytest.raises(Denied):
-                kernel.merge(context.temp_branch, "main", "fixer")
+                kernel.merge(failed.temp_branch, "main", "fixer")
             with pytest.raises(Denied):
                 kernel.create_branch("sneaky", "main", "fixer")
             with pytest.raises(Denied):
@@ -189,7 +197,7 @@ def test_adversarial_agent_cannot_mutate_target(healing_kernel):
             return parse_pipeline(STILL_BROKEN)
 
     result = heal(kernel, failed.run_id, Adversary(), budget=2, principal="fixer")
-    assert isinstance(result, GaveUp)
+    assert result.proposal is None
     assert kernel.catalog.head("main") == main_before
     denies = [r for r in kernel.governor.records_for("fixer") if not r.allowed]
     assert {r.action for r in denies} >= {"MergeInto:main", "CreateBranch:sneaky",
@@ -214,8 +222,8 @@ def test_approve_requires_merge_permission(healing_kernel):
     result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     with pytest.raises(Denied):
-        approve(kernel, result, "fixer")
-    merged = approve(kernel, result, "dana")
+        approve(kernel, result.proposal, "fixer")
+    merged = approve(kernel, result.proposal, "dana")
     assert merged.ok
 
 
@@ -225,10 +233,11 @@ def test_stale_proposal_when_branch_advances(healing_kernel):
     result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
-    kernel.commit_tables(result.branch, {"sneaky": sid},
-                         kernel.catalog.resolve(result.branch), "dana", "tamper")
+    kernel.commit_tables(result.proposal.temp_branch, {"sneaky": sid},
+                         kernel.catalog.resolve(result.proposal.temp_branch),
+                         "dana", "tamper")
     with pytest.raises(StaleProposal):
-        approve(kernel, result, "dana")
+        approve(kernel, result.proposal, "dana")
 
 
 def test_approve_propagates_conflicts(healing_kernel):
@@ -240,7 +249,7 @@ def test_approve_propagates_conflicts(healing_kernel):
     other = kernel.run(GUARDED.replace("x / (k - 1)", "x * 1000"), "main",
                        RunOptions(principal="dana"))
     assert other.outcome.kind == "merged"
-    merged = approve(kernel, result, "dana")
+    merged = approve(kernel, result.proposal, "dana")
     assert merged.kind == "conflict"
     assert merged.conflicts == ("ratios",)
 
@@ -250,9 +259,9 @@ def test_find_proposal_for_cli(healing_kernel):
     failed = fail_run(kernel)
     result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
                   budget=1, principal="fixer")
-    rebuilt = find_proposal(kernel, result.branch)
-    assert rebuilt.branch == result.branch
-    assert rebuilt.run_report == result.run_report
+    rebuilt = find_proposal(kernel, result.proposal.temp_branch)
+    assert rebuilt.temp_branch == result.proposal.temp_branch
+    assert rebuilt == result.proposal
     with pytest.raises(UnknownRun):
         find_proposal(kernel, "run/metrics/does-not-exist")
 
@@ -273,10 +282,10 @@ def test_find_proposal_reads_one_run_report(healing_kernel, monkeypatch):
         return real_read_at(self, offset, size)
 
     monkeypatch.setattr(Journal, "read_at", read_at)
-    assert find_proposal(kernel, result.branch).run_report == result.run_report
+    assert find_proposal(kernel, result.proposal.temp_branch) == result.proposal
     assert len(reads) == 1
     with pytest.raises(UnknownRun):  # a failed run's temp branch is no proposal
-        find_proposal(kernel, failed.temp_branch)
+        approve(kernel, find_proposal(kernel, failed.temp_branch), "dana")
 
 
 def test_heal_merge_commit_path(healing_kernel):
@@ -289,7 +298,23 @@ def test_heal_merge_commit_path(healing_kernel):
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(5,)]))
     kernel.commit_tables("main", {"unrelated": sid}, kernel.catalog.head("main"),
                          "dana", "drift")
-    merged = approve(kernel, result, "dana")
+    merged = approve(kernel, result.proposal, "dana")
     assert merged.kind == MERGE_COMMIT
     final = kernel.catalog.table_map("main")
     assert "ratios" in final and "unrelated" in final
+
+
+def test_approve_refuses_a_verifier_rejected_run(healing_kernel):
+    """Only a verified open run is a proposal: a rejected run's report,
+    read back as the CLI reads it, is refused before anything merges."""
+    kernel = healing_kernel
+    kernel.register_verifier("never", "metrics", "SELECT count(*) < 0 AS ok FROM ratios",
+                             "dana")
+    report = kernel.run(GUARDED, "main", RunOptions(principal="dana", skip_merge=True))
+    assert report.outcome.kind == VERIFIER_REJECTED
+    main_before = kernel.catalog.head("main")
+    with pytest.raises(UnknownRun):
+        approve(kernel, report, "dana")
+    with pytest.raises(UnknownRun):
+        approve(kernel, find_proposal(kernel, report.temp_branch), "dana")
+    assert kernel.catalog.head("main") == main_before

@@ -17,6 +17,7 @@ from lakekernel.runner import (
     Outcome,
     RunOptions,
     RunReport,
+    SKIPPED,
     SUCCEEDED_OPEN,
 )
 from lakekernel.store import TableData
@@ -364,3 +365,42 @@ def test_audit_trail_per_run_is_documented_composite(kernel):
     assert sum(1 for a in actions if a.startswith("WriteBranch:run/duo/")) == 2
     assert sum(1 for a in actions if a == "MergeInto:main") == 1
     assert len(actions) == 5  # one record per governed call, nothing hidden
+
+
+def _chain(bad: int | None) -> str:
+    """A 3-node chain raw -> n0 -> n1 -> n2; node `bad` divides by zero."""
+    lines, source = ["pipeline tri"], "raw"
+    for i in range(3):
+        expr = "x / (k - 1)" if i == bad else "x + 1"
+        lines += [f"node n{i}:", f"  inputs: {source}",
+                  "  env: runtime=python3.10 packages=[pandas==2.0]",
+                  "  materialize: REPLACE", f"  query: SELECT k, {expr} AS x FROM {source}"]
+        source = f"n{i}"
+    return "\n".join(lines) + "\n"
+
+
+# (fail_after, dividing node, outcome, node statuses); every node that ran is timed
+_LOOP_CASES = {
+    "clean": (None, None, MERGED, ["succeeded"] * 3),
+    **{f"fail_after_n{i}": (f"n{i}", None, FAILED_OPEN,
+                            ["succeeded"] * (i + 1) + ["skipped"] * (2 - i))
+       for i in range(3)},
+    **{f"div0_at_n{i}": (None, i, FAILED_OPEN,
+                         ["succeeded"] * i + ["failed"] + ["skipped"] * (2 - i))
+       for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", list(_LOOP_CASES))
+def test_node_loop_stops_at_the_first_failure(kernel, case):
+    fail_after, bad, outcome, statuses = _LOOP_CASES[case]
+    seed_raw(kernel)
+    report = kernel.run(_chain(bad), "main",
+                        RunOptions(principal="alice", fail_after=fail_after))
+    assert report.outcome.kind == outcome
+    assert [r.node for r in report.node_results] == ["n0", "n1", "n2"]
+    assert [r.status for r in report.node_results] == statuses
+    ran = [r.node for r in report.node_results if r.status != SKIPPED]
+    assert list(report.timings) == ran
+    chain = [c.id for c in kernel.catalog.log(kernel.catalog.resolve(report.temp_branch))]
+    assert chain.index(report.base_commit) == statuses.count("succeeded")
