@@ -6,7 +6,7 @@ the flock of the refs journal, caught up to its end, so it is a real
 linearization point on disk shared by threads and processes alike. Each
 move appends one line `<old|-> <new|-> <branch>` to that journal ("-":
 absent), and a catalog replays only the lines appended since its last
-read. A commit is one line `<id> <body>` of a second journal, appended
+read. A commit is one `<id> <body>` record of commits.log, appended
 under the refs flock before the move that publishes it. Branching and
 merging move references only — they never touch snapshot content.
 """
@@ -26,6 +26,7 @@ from types import MappingProxyType
 
 from .errors import (
     BranchExists,
+    CorruptRecord,
     LakeError,
     NoCommonAncestor,
     StaleHead,
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .store import SnapshotStore, TableData
 # atomic_write is unused here but stays importable: perfbench wraps catalog.atomic_write
-from .util import Journal, SystemClock, atomic_write, index_bodies  # noqa: F401
+from .util import Journal, Records, SystemClock, atomic_write  # noqa: F401
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
@@ -77,9 +78,22 @@ class Commit:
 
     @staticmethod
     def from_body(commit_id: str, data: bytes) -> "Commit":
-        body = json.loads(data)
-        return Commit(commit_id, tuple(body["parents"]), dict(body["tables"]),
-                      body["author"], body["message"], body["timestamp"])
+        """The commit whose body is `data`. A body that does not hash to
+        `commit_id`, or is not a commit's, is CorruptRecord."""
+        try:
+            if hashlib.sha256(data).hexdigest() != commit_id:
+                raise ValueError("its body does not hash to its id")
+            body = json.loads(data)
+            parents, tables = body["parents"], body["tables"]
+            if not (type(parents) is list and type(tables) is dict
+                    and type(body["timestamp"]) is int
+                    and all(type(s) is str for s in (*parents, *tables, *tables.values(),
+                                                       body["author"], body["message"]))):
+                raise TypeError(f"not a commit: {body!r:.80}")
+            return Commit(commit_id, tuple(parents), tables,
+                          body["author"], body["message"], body["timestamp"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CorruptRecord(f"commit {commit_id!r} is corrupt: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -122,11 +136,9 @@ class Catalog:
         self.clock = clock or SystemClock()
         self._refs: dict[str, str] = {}
         self._refs_view = MappingProxyType(self._refs)
-        # the folds hold their dicts, not self: no cycle keeps a dropped catalog alive
+        # the fold holds its dict, not self: no cycle keeps a dropped catalog alive
         self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
-        self._commit_index: dict[str, tuple[int, int]] = {}
-        self._commits = Journal(self.root / "commits.log",
-                                partial(index_bodies, self._commit_index))
+        self._commits = Records(self.root / "commits.log")
         self._cache: dict[str, Commit] = {}
         self._cache_lock = threading.Lock()
 
@@ -182,7 +194,7 @@ class Catalog:
         """Branch name or commit id -> commit id. No branch is named like a
         commit id, so a commit id resolves from commits.log alone."""
         if _HEX_RE.fullmatch(ref):
-            if self._locate(ref) is not None:
+            if ref in self._commits:
                 return ref
         elif ref in (refs := self._load_refs()):
             return refs[ref]
@@ -211,10 +223,7 @@ class Catalog:
     # -- commits --------------------------------------------------------------
 
     def _write_commit(self, commit: Commit) -> None:
-        """Append `<id> <body>` to commits.log unless the id is there."""
-        with self._commits.locked() as append:
-            if commit.id not in self._commit_index:
-                append(commit.id.encode("ascii") + b" " + commit.body_json())
+        self._commits.put(commit.id, commit.body_json())
         with self._cache_lock:
             self._cache[commit.id] = commit
 
@@ -228,19 +237,11 @@ class Catalog:
             self._cache[commit_id] = commit
         return commit
 
-    def _locate(self, commit_id: str) -> tuple[int, int] | None:
-        """(offset, length) of a commit's body in commits.log, or None. Only
-        an id not yet indexed catches up the journal."""
-        found = self._commit_index.get(commit_id)
-        if found is None:
-            found = self._commits.catch_up(partial(self._commit_index.get, commit_id))
-        return found
-
     def _read_commit(self, commit_id: str) -> Commit:
-        found = self._locate(commit_id)
-        if found is None:
+        body = self._commits.get(commit_id)
+        if body is None:
             raise UnknownRef(f"no commit {commit_id!r}")
-        return Commit.from_body(commit_id, self._commits.read_at(*found))
+        return Commit.from_body(commit_id, body)
 
     def commit_tables(self, branch: str, changes: dict, expected_head: str,
                       author: str, message: str) -> Commit:

@@ -38,12 +38,8 @@ class _Ctx:
         return self.args.principal or os.environ.get("LAKE_PRINCIPAL")
 
     def require_principal(self) -> str:
-        principal = self.principal
-        if not principal:
-            print("error: this command needs --as <principal> or LAKE_PRINCIPAL",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        return principal
+        return self.principal or _usage_error(
+            "this command needs --as <principal> or LAKE_PRINCIPAL")
 
     def kernel(self) -> LakeKernel:
         if self._kernel is None:
@@ -81,6 +77,11 @@ class _Ctx:
             out.write("]}\n")
         elif not sep and empty:
             print(empty)
+
+
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _render_table(table: TableData) -> str:
@@ -127,6 +128,8 @@ def cmd_branch(ctx: _Ctx) -> int:
         human = "\n".join(f"{name} {head[:12]}" for name, head in sorted(refs.items()))
         ctx.emit({"branches": refs}, human)
         return 0
+    if ctx.args.name is None:
+        _usage_error(f"branch {action} needs a branch name")
     principal = ctx.require_principal()
     if action == "create":
         head = kernel.create_branch(ctx.args.name, ctx.args.from_ref, principal)

@@ -106,7 +106,8 @@ class CorruptRun(LakeError):
 
 
 class CorruptRecord(LakeError):
-    """A verifier or verdict file that is torn, not JSON, or not a record."""
+    """A commit, verifier or verdict record, or a trace file, that is torn,
+    not JSON, or not what it claims to be."""
 
 
 class DuplicateName(LakeError):

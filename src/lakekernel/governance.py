@@ -296,6 +296,3 @@ class Governor:
     def records(self) -> list[AuditRecord]:
         """Every audit record in the file, in seq order."""
         return [AuditRecord(**json.loads(line)) for line in self._journal.entries()]
-
-    def records_for(self, principal: str) -> list[AuditRecord]:
-        return [r for r in self.records if r.principal == principal]

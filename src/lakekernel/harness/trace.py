@@ -11,6 +11,8 @@ import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..errors import CorruptRecord
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -39,7 +41,11 @@ class Trace:
 
     @staticmethod
     def load(path) -> "Trace":
-        return Trace.from_json(json.loads(Path(path).read_text("utf-8")))
+        """The trace saved at `path`; a file that is not one is CorruptRecord."""
+        try:
+            return Trace.from_json(json.loads(Path(path).read_text("utf-8")))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CorruptRecord(f"{path} is not a trace: {exc!r}") from None
 
 
 def published_delta(catalog, report) -> dict:

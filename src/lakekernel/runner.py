@@ -7,8 +7,7 @@ of them in a single atomic merge only after every node succeeded and
 every matching verifier passed. On any failure the temp branch is left
 open for inspection and the target head is untouched.
 
-Every run but a dry run leaves its report as one line `<run id> <report
-JSON>` of the journal runs.log; a runner indexes the lines by run id.
+Every run but a dry run leaves its report in runs.log, keyed by run id.
 """
 from __future__ import annotations
 
@@ -17,15 +16,15 @@ import re
 import time
 import weakref
 from dataclasses import asdict, dataclass, is_dataclass
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .catalog import MergeResult
 from .engine import PipelineSpec, execute_plan, format_pipeline, plan
-from .errors import CorruptRun, LakeError, UnknownInput, UnknownRun
-from .util import Journal, index_bodies
+from .errors import CorruptRun, DuplicateName, LakeError, UnknownInput, UnknownRun
+from .util import Records
 from .verify import VerdictRecord
 
 SUCCEEDED = "succeeded"
@@ -137,32 +136,24 @@ class Runner:
     def __init__(self, kernel, log_path: Path):
         # a proxy, so the kernel owning this runner is freed by refcount alone
         self.kernel = weakref.proxy(kernel)
-        # the fold holds the dict, not self: no cycle keeps a dropped runner alive
-        self._index: dict[str, tuple[int, int]] = {}
-        self._log = Journal(log_path, partial(index_bodies, self._index))
+        self._log = Records(log_path)
 
     # -- reports ----------------------------------------------------------
 
     def run_ids(self) -> list[str]:
         """The ids of the persisted run reports, sorted."""
-        return self._log.catch_up(
-            lambda: sorted(k for k in self._index if _RUN_ID_RE.fullmatch(k)))
+        return sorted(k for k in self._log.keys() if _RUN_ID_RE.fullmatch(k))
 
     def list_runs(self) -> list[RunReport]:
         return [self.get_run(run_id) for run_id in self.run_ids()]
 
     def get_run(self, run_id: str) -> RunReport:
-        """The report on `run_id`'s line of runs.log. Only an id not yet
-        indexed catches up the journal."""
-        if not _RUN_ID_RE.fullmatch(run_id):
+        """The report on `run_id`'s line of runs.log."""
+        body = self._log.get(run_id) if _RUN_ID_RE.fullmatch(run_id) else None
+        if body is None:
             raise UnknownRun(f"no run {run_id!r}")
-        found = self._index.get(run_id)
-        if found is None:
-            found = self._log.catch_up(partial(self._index.get, run_id))
-            if found is None:
-                raise UnknownRun(f"no run {run_id!r}")
         try:
-            report = RunReport.from_json(json.loads(self._log.read_at(*found)))
+            report = RunReport.from_json(json.loads(body))
         except (ValueError, TypeError) as exc:  # torn, not JSON, or not a report
             raise CorruptRun(f"run {run_id!r} has a corrupt report: {exc}") from None
         if report.run_id != run_id:
@@ -190,6 +181,8 @@ class Runner:
             return RunReport(run_id, spec.name, text, target, None, target_head,
                              (), Outcome(DRY_RUN, node_order=tuple(plans)), {})
 
+        if run_id in self._log:  # refused before any side effect, so no report hides another
+            raise DuplicateName(f"run {run_id!r} already has a report")
         temp = f"run/{spec.name}/{run_id}"
         # only this run moves the temp branch, so it carries its head along
         base = head = kernel.create_branch(temp, target_head, opts.principal)
@@ -200,9 +193,8 @@ class Runner:
             report = RunReport(run_id, spec.name, text, target, temp, base,
                                tuple(results), Outcome(kind, temp_branch=temp, **outcome),
                                timings, tuple(verdicts))
-            body = json.dumps(asdict(report), sort_keys=True).encode("utf-8")
-            with self._log.locked() as append:  # one line: `<run id> <report JSON>`
-                append(run_id.encode("ascii") + b" " + body)
+            if not self._log.put(run_id, json.dumps(asdict(report), sort_keys=True).encode()):
+                raise DuplicateName(f"run {run_id!r} already has a report")  # raced the check
             return report
 
         for i, node in enumerate(spec.nodes):

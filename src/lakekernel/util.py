@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, an append-only journal,
-clocks and id sources.
+"""Small shared helpers: atomic file writes, an append-only journal and
+the keyed records kept in one, clocks and id sources.
 
 Clocks and id sources are injectable so scripted scenarios and the
 concurrency harness can reproduce identical commit ids and run ids across
@@ -13,6 +13,7 @@ import os
 import threading
 import time
 import uuid
+from functools import partial
 from pathlib import Path
 
 MASK64 = (1 << 64) - 1
@@ -134,10 +135,35 @@ class Journal:
         return data[:data.rfind(b"\n") + 1].splitlines()
 
 
-def index_bodies(index: dict, chunk: bytes, offset: int) -> None:
-    """A Journal fold over `<key> <body>` lines: {key: (body offset, body
-    length)}, where a later line for a key wins. A line with no space
-    indexes nothing."""
+class Records(Journal):
+    """A Journal of `<key> <body>` lines and their key index. `put` appends
+    only a key the file lacks (else returns False), deciding under the flock,
+    so the first writer of a key wins; on read, a later line for a key wins."""
+
+    def __init__(self, path: Path):
+        self._index: dict[str, tuple[int, int]] = {}  # key -> (body offset, length)
+        super().__init__(path, partial(_index_bodies, self._index))
+
+    def __contains__(self, key: str) -> bool:
+        """Reads no body; only a key not yet indexed catches the journal up."""
+        return key in self._index or self.catch_up(partial(self._index.__contains__, key))
+
+    def get(self, key: str) -> bytes | None:
+        return self.read_at(*self._index[key]) if key in self else None
+
+    def keys(self) -> list[str]:
+        return self.catch_up(lambda: list(self._index))
+
+    def put(self, key: str, body: bytes) -> bool:
+        with self.locked() as append:
+            if key in self._index:
+                return False
+            append(key.encode("ascii") + b" " + body)
+        return True
+
+
+def _index_bodies(index: dict, chunk: bytes, offset: int) -> None:
+    # the Records fold: a line with no space indexes nothing
     for line in chunk.split(b"\n")[:-1]:
         sep = line.find(b" ")
         if sep >= 0:

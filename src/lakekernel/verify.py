@@ -8,7 +8,6 @@ prior verdicts.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from dataclasses import asdict, dataclass
@@ -29,7 +28,7 @@ from .engine import (
 )
 from .errors import CorruptRecord, DuplicateName, LakeError, ShapeError
 from .governance import glob_match
-from .util import atomic_write
+from .util import Records, atomic_write
 
 PASS = "pass"
 FAIL = "fail"
@@ -81,49 +80,49 @@ def check_shape(ast: QueryAst) -> None:
 
 
 class VerifierRegistry:
-    """Verifiers persisted one JSON file per name under verifiers/;
+    """Verifiers persisted as `<name> <JSON>` lines of verifiers.log;
     verdicts persisted per run under verdicts/."""
 
     def __init__(self, root: Path, catalog: Catalog):
         self.catalog = catalog
-        self._dir = Path(root) / "verifiers"
+        self._records = Records(Path(root) / "verifiers.log")
+        self._specs: dict[str, VerifierSpec] = {}  # a name is registered once
+        self._old_dir = Path(root) / "verifiers"  # a file per verifier, before verifiers.log
         self._verdicts_dir = Path(root) / "verdicts"
-        self._dir.mkdir(parents=True, exist_ok=True)
         self._verdicts_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
 
     # -- registration ------------------------------------------------------
 
     def register(self, spec: VerifierSpec) -> None:
-        """Publish the verifier file whole by hard link, which, unlike a rename,
-        fails on an existing name: of two registering processes one wins.
-        The name becomes the file name, so it may not hold a path."""
+        """Append the verifier's line, keyed by its name (so holding no space):
+        of two registrations of one name, in any processes, the first wins."""
         if not _NAME_RE.fullmatch(spec.name):
             raise LakeError(f"bad verifier name {spec.name!r}")
         check_shape(spec.check)
-        body = {"name": spec.name, "pipeline": spec.pipeline,
-                "check": format_query(spec.check), "registered_by": spec.registered_by}
-        path = self._dir / f"{spec.name}.json"
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_bytes(json.dumps(body, sort_keys=True).encode("utf-8"))
-            os.link(tmp, path)
-        except FileExistsError:
-            raise DuplicateName(f"verifier {spec.name!r} exists") from None
-        finally:
-            tmp.unlink(missing_ok=True)
+        body = {"pipeline": spec.pipeline, "check": format_query(spec.check),
+                "registered_by": spec.registered_by}
+        if not self._records.put(spec.name, json.dumps(body, sort_keys=True).encode("utf-8")):
+            raise DuplicateName(f"verifier {spec.name!r} exists")
 
     def list_verifiers(self) -> list[VerifierSpec]:
-        out = []
-        for path in sorted(self._dir.glob("*.json")):
+        """Every verifier, by name, each parsed once. A data dir that still
+        holds verifier files is CorruptRecord: no run goes ungated by them."""
+        if self._old_dir.is_dir():
+            raise CorruptRecord(f"{self._old_dir} holds verifier files of an older layout")
+        names = self._records.keys()
+        for name in sorted(set(names) - self._specs.keys()):
             try:
-                body = json.loads(path.read_text("utf-8"))
-                out.append(VerifierSpec(body["name"], body["pipeline"],
-                                        parse_query(body["check"]),
-                                        body["registered_by"]))
+                body = json.loads(self._records.get(name))
+                fields = body["pipeline"], body["check"], body["registered_by"]
+                if not all(type(f) is str for f in fields):
+                    raise TypeError(f"not a verifier: {body!r:.80}")
+                self._specs[name] = VerifierSpec(name, fields[0], parse_query(fields[1]),
+                                                 fields[2])
             except (ValueError, TypeError, KeyError, LakeError) as exc:
-                raise CorruptRecord(f"{path} is corrupt: {exc!r}") from None
-        return out
+                raise CorruptRecord(f"verifier {name!r} in {self._records.path} "
+                                    f"is corrupt: {exc!r}") from None
+        return [self._specs[name] for name in sorted(names)]
 
     def matching(self, pipeline_name: str) -> list[VerifierSpec]:
         return [v for v in self.list_verifiers()
@@ -186,6 +185,9 @@ class VerifierRegistry:
         return _verdicts_in(self._verdicts_dir.glob("*.json"), commit_id)
 
 
+_VERDICT_FIELDS = VerdictRecord.__dataclass_fields__.keys()
+
+
 def _verdicts_in(paths, commit_id: str | None = None) -> list[VerdictRecord]:
     """The verdicts in the files at `paths` (bound to `commit_id`, if given).
     A torn, non-JSON or misshapen file is CorruptRecord, so a merge fails closed."""
@@ -195,7 +197,9 @@ def _verdicts_in(paths, commit_id: str | None = None) -> list[VerdictRecord]:
             bodies = json.loads(path.read_text("utf-8"))
             if type(bodies) is not list:
                 raise TypeError(f"not a list: {bodies!r:.80}")
-            for body in bodies:
+            for body in bodies:  # every body is checked, so no merge ignores a bad one
+                if type(body) is not dict or body.keys() != _VERDICT_FIELDS:
+                    raise TypeError(f"not a verdict: {body!r:.80}")
                 if commit_id is None or body["evaluated_at"] == commit_id:
                     out.append(VerdictRecord(**body))
     except (ValueError, TypeError, KeyError) as exc:

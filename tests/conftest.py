@@ -48,16 +48,26 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
-def count_refs_reads(monkeypatch) -> list:
-    """Record every read of a refs.log journal from here on: each catch-up,
-    and the catch-up under the flock of every ref move."""
-    real_read = Journal._read
+def count_journal_reads(monkeypatch, name: str) -> list:
+    """Record every read of a journal file called `name` from here on, as
+    the bytes it read: each catch-up (the one under the flock of every
+    append too) and each record body read."""
+    real_read, real_read_at = Journal._read, Journal.read_at
     reads = []
 
     def read(self, fd):
-        if self.path.name == "refs.log":
-            reads.append(self.path)
-        return real_read(self, fd)
+        start = self._offset
+        torn = real_read(self, fd)
+        if self.path.name == name:
+            reads.append(self._offset - start + torn)
+        return torn
+
+    def read_at(self, offset, size):
+        body = real_read_at(self, offset, size)
+        if self.path.name == name:
+            reads.append(len(body))
+        return body
 
     monkeypatch.setattr(Journal, "_read", read)
+    monkeypatch.setattr(Journal, "read_at", read_at)
     return reads

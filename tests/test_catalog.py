@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import child_env, count_refs_reads
+from conftest import child_env, count_journal_reads
 from lakekernel.catalog import CONFLICT, DELETE, FAST_FORWARD, MERGE_COMMIT, Catalog
 from lakekernel.errors import (
     BranchExists,
@@ -302,10 +302,23 @@ def test_catalog_reads_a_commit_written_after_its_last_catch_up(tmp_path, monkey
     other = Catalog(tmp_path / "lake", store, StepClock(100))
     assert other.get_commit(first.id) == first  # caught up to the end
     c = cat.commit_tables("main", {"a": snap(store, 2)}, first.id, "alice", "y")
-    reads = count_refs_reads(monkeypatch)
+    reads = count_journal_reads(monkeypatch, "refs.log")
     assert other.resolve(c.id) == c.id
     assert other.get_commit(c.id) == c
     assert reads == []
+
+
+def test_resolving_a_commit_id_reads_no_commit_body(tmp_path, monkeypatch):
+    """A fresh catalog resolves a commit id with one catch-up of commits.log
+    and reads its body only when the commit itself is asked for."""
+    cat, store = make_catalog(tmp_path)
+    c = cat.commit_tables("main", {"a": snap(store, 1)}, cat.head("main"), "alice", "x")
+    fresh = Catalog(tmp_path / "lake", store, StepClock(100))
+    reads = count_journal_reads(monkeypatch, "commits.log")
+    assert fresh.resolve(c.id) == c.id
+    assert reads == [(tmp_path / "lake" / "commits.log").stat().st_size]
+    assert fresh.get_commit(c.id) == c
+    assert reads[1:] == [len(c.body_json())]
 
 
 def test_rewriting_a_commit_appends_nothing(tmp_path):
@@ -425,7 +438,7 @@ def test_commit_id_names_no_branch_and_resolves_without_refs(tmp_path, monkeypat
         with pytest.raises(LakeError, match="bad branch name"):
             cat.create_branch(name, "main")
     assert c.id not in cat.branches()
-    reads = count_refs_reads(monkeypatch)
+    reads = count_journal_reads(monkeypatch, "refs.log")
     assert cat.resolve(c.id) == c.id
     assert cat.open_session(c.id).pinned == c.id
     with pytest.raises(UnknownRef):
@@ -749,7 +762,7 @@ def test_governed_merge_reads_refs_at_most_three_times(kernel, monkeypatch):
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
     kernel.create_branch("dev", "main", "alice")
     kernel.commit_tables("dev", {"t": sid}, kernel.catalog.head("dev"), "alice", "t")
-    reads = count_refs_reads(monkeypatch)
+    reads = count_journal_reads(monkeypatch, "refs.log")
     assert kernel.merge("dev", "main", "alice").kind == FAST_FORWARD
     assert len(reads) <= 3
 

@@ -101,6 +101,14 @@ def test_mutating_command_requires_principal(env):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("action", ["create", "delete"])
+def test_branch_create_and_delete_without_a_name_are_usage_errors(env, capsys, action):
+    with pytest.raises(SystemExit) as exc:
+        main(["--data-dir", env["data"], "branch", action, "--as", "dana"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: branch {action} needs a branch name\n"
+
+
 def test_branch_create_list_delete(env, capsys):
     code, body = run_json(capsys, ["--data-dir", env["data"], "branch", "create",
                                    "dev", "--from", "main", "--as", "dana"])
@@ -355,21 +363,28 @@ def test_corrupt_verdict_files_refuse_every_merge(env, capsys):
 
 
 def test_corrupt_verifier_files_are_errors_that_name_the_file(env, capsys):
-    """A torn, non-JSON or misshapen verifier file ends `verifier list` with
-    a CorruptRecord error naming the file, and ends every run's verifier
-    step `denied` with a reason naming it: the run is reported, its temp
-    branch stays open, and it publishes nothing."""
+    """A verifiers.log line whose body is not JSON, or not a verifier's (a
+    field missing or not a string), ends `verifier list` with a
+    CorruptRecord error naming the verifier and the file, and ends every
+    run's verifier step `denied` with a reason naming them: the run is
+    reported, its temp branch stays open, and it publishes nothing."""
     data = env["data"]
     assert main(["--data-dir", data, *_NONEMPTY]) == 0
-    path = Path(data) / "verifiers" / "nonempty.json"
-    good = path.read_bytes()
+    path, key = Path(data) / "verifiers.log", b"nonempty "
+    line = path.read_bytes()
+    assert line.startswith(key) and line.endswith(b"\n")
+    good = line[len(key):-1]
+    body = json.loads(good)
+    wrong_types = [{**body, "pipeline": 5}, {**body, "check": None},
+                   {k: v for k, v in body.items() if k != "registered_by"}]
     head = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]["main"]
     for bad in (good[:len(good) // 2], b"\xff", b"[]", b"{}",
-                good.replace(b"SELECT", b"SELEKT")):
-        path.write_bytes(bad)
+                good.replace(b"SELECT", b"SELEKT"),
+                *(json.dumps(w).encode() for w in wrong_types)):
+        path.write_bytes(key + bad + b"\n")
         code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
         assert (code, body["error"]) == (1, "CorruptRecord"), bad
-        assert str(path) in body["reason"]
+        assert str(path) in body["reason"] and "'nonempty'" in body["reason"]
         code, report = run_json(capsys, ["--data-dir", data, "run", env["pipe"],
                                          "--as", "dana"])
         assert (code, report["outcome"]["kind"]) == (1, "denied"), bad
@@ -380,9 +395,77 @@ def test_corrupt_verifier_files_are_errors_that_name_the_file(env, capsys):
         branches = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]
         assert branches["main"] == head
         assert report["temp_branch"] in branches
-    path.write_bytes(good)
+    path.write_bytes(line)
     code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
     assert code == 0 and [v["name"] for v in body["verifiers"]] == ["nonempty"]
+
+
+def test_a_leftover_verifiers_directory_fails_closed(env, capsys):
+    """A data dir that still holds a verifiers/ directory (one file per
+    verifier, before verifiers.log) is never run ungated: `verifier list`
+    exits 1 with CorruptRecord, and `run` ends `denied` and publishes
+    nothing; no command creates or removes the directory."""
+    data = env["data"]
+    old = Path(data) / "verifiers"
+    old.mkdir()
+    (old / "nonempty.json").write_text(json.dumps(
+        {"name": "nonempty", "pipeline": "duo", "registered_by": "dana",
+         "check": "SELECT count(*) > 0 AS ok FROM t_b"}))
+    head = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]["main"]
+    code, body = run_json(capsys, ["--data-dir", data, "verifier", "list"])
+    assert (code, body["error"]) == (1, "CorruptRecord") and str(old) in body["reason"]
+    assert main(["--data-dir", data, *_NONEMPTY]) == 0
+    code, report = run_json(capsys, ["--data-dir", data, "run", env["pipe"], "--as", "dana"])
+    assert (code, report["outcome"]["kind"]) == (1, "denied")
+    assert str(old) in report["outcome"]["reason"]
+    branches = run_json(capsys, ["--data-dir", data, "branch", "list"])[1]["branches"]
+    assert branches["main"] == head and report["temp_branch"] in branches
+    assert [p.name for p in old.iterdir()] == ["nonempty.json"]
+
+
+def _commit_lines(data) -> dict:
+    """{commit id: its commits.log line}, in file order."""
+    lines = (Path(data) / "commits.log").read_bytes().splitlines(keepends=True)
+    return {line[:64].decode(): line for line in lines}
+
+
+def test_a_misshapen_commit_body_is_corrupt(env, capsys):
+    """A commits.log body that hashes to its id but is not a commit's (a
+    field missing, or of the wrong type) is CorruptRecord, not a crash."""
+    data, path = env["data"], Path(env["data"]) / "commits.log"
+    real = json.loads(next(iter(_commit_lines(data).values()))[65:])
+    for body in ({"author": "x"}, {**real, "parents": "ab"}, {**real, "tables": [["a", "b"]]},
+                 {**real, "timestamp": "0"}, {**real, "tables": {"a": 5}}, [real]):
+        data_bytes = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        commit_id = hashlib.sha256(data_bytes).hexdigest()
+        with open(path, "ab") as f:
+            f.write(commit_id.encode() + b" " + data_bytes + b"\n")
+        code, out = run_json(capsys, ["--data-dir", data, "log", commit_id])
+        assert (code, out["error"]) == (1, "CorruptRecord"), body
+        assert commit_id in out["reason"]
+
+
+def test_a_commit_body_under_another_commits_id_is_corrupt(env, capsys):
+    """A body that does not hash to its line's id is CorruptRecord: neither
+    a misshapen body under main's head id nor a whole commit's body under
+    the root's id is served as that commit."""
+    data, path = env["data"], Path(env["data"]) / "commits.log"
+    intact = path.read_bytes()
+    lines = _commit_lines(data)
+    root, head = list(lines)
+    code, out = run_json(capsys, ["--data-dir", data, "log", "main"])
+    assert code == 0 and [c["id"] for c in out["commits"]] == [head, root]
+    for victim, body in ((head, b'{"author":"x"}'), (root, lines[head][65:-1])):
+        path.write_bytes(b"".join(line if cid != victim else
+                                  victim.encode() + b" " + body + b"\n"
+                                  for cid, line in lines.items()))
+        for ref in ("main", victim):
+            code, out = run_json(capsys, ["--data-dir", data, "log", ref])
+            assert (code, out["error"]) == (1, "CorruptRecord"), (victim, ref)
+            assert victim in out["reason"]
+    path.write_bytes(intact)
+    code, out = run_json(capsys, ["--data-dir", data, "log", "main"])
+    assert code == 0 and [c["id"] for c in out["commits"]] == [head, root]
 
 
 def test_conflicting_publish_ends_conflict_with_its_branch_open(env, capsys, monkeypatch):
@@ -546,6 +629,21 @@ def test_check_flags_torn_trace(env, capsys, tmp_path):
                                    "--trace", str(path)])
     assert code == 1
     assert body["isolation"]["ok"] is False
+
+
+def test_check_refuses_a_file_that_is_not_a_trace(env, capsys, tmp_path):
+    from lakekernel.harness import Trace
+
+    path = tmp_path / "trace.json"
+    Trace({}, "main", {}, {}).save(path)
+    whole = path.read_bytes()
+    for bad in (b"", b"\xff", whole[:len(whole) // 2], b"[]", b"{}", b'{"events": []}',
+                whole.replace(b'"events": []', b'"events": [{"seq": 1}]')):
+        path.write_bytes(bad)
+        code, body = run_json(capsys, ["--data-dir", env["data"], "check",
+                                       "--trace", str(path)])
+        assert (code, body["error"]) == (1, "CorruptRecord"), bad
+        assert str(path) in body["reason"]
 
 
 def test_domain_error_json_shape(env, capsys):

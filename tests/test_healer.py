@@ -199,7 +199,7 @@ def test_adversarial_agent_cannot_mutate_target(healing_kernel):
     result = heal(kernel, failed.run_id, Adversary(), budget=2, principal="fixer")
     assert result.proposal is None
     assert kernel.catalog.head("main") == main_before
-    denies = [r for r in kernel.governor.records_for("fixer") if not r.allowed]
+    denies = [r for r in kernel.governor.records if r.principal == "fixer" and not r.allowed]
     assert {r.action for r in denies} >= {"MergeInto:main", "CreateBranch:sneaky",
                                           "WriteBranch:main"}
 
@@ -209,7 +209,7 @@ def test_agent_capabilities_confined_to_run_pattern(healing_kernel):
     failed = fail_run(kernel)
     heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
          budget=1, principal="fixer")
-    allowed = [r for r in kernel.governor.records_for("fixer") if r.allowed]
+    allowed = [r for r in kernel.governor.records if r.principal == "fixer" and r.allowed]
     for record in allowed:
         kind, _, arg = record.action.partition(":")
         if kind in ("CreateBranch", "WriteBranch"):

@@ -3,9 +3,9 @@ import threading
 
 import pytest
 
-from conftest import count_refs_reads, make_kernel
+from conftest import count_journal_reads, make_kernel
 from lakekernel.catalog import CONFLICT, MergeResult
-from lakekernel.errors import Denied, UnknownInput, UnknownRun
+from lakekernel.errors import Denied, DuplicateName, UnknownInput, UnknownRun
 from lakekernel.governance import parse_policy
 from lakekernel.runner import (
     DENIED,
@@ -159,7 +159,7 @@ def test_merged_run_reads_refs_at_most_six_times(kernel, monkeypatch):
     seed_raw(kernel)
     kernel.register_verifier("nonempty", "duo",
                              "SELECT count(*) > 0 AS ok FROM t_b", "alice")
-    reads = count_refs_reads(monkeypatch)
+    reads = count_journal_reads(monkeypatch, "refs.log")
     report = kernel.run(PIPE, "main", RunOptions(principal="alice"))
     assert report.outcome.kind == MERGED
     assert len(report.verdicts) == 1
@@ -404,3 +404,22 @@ def test_node_loop_stops_at_the_first_failure(kernel, case):
     assert list(report.timings) == ran
     chain = [c.id for c in kernel.catalog.log(kernel.catalog.resolve(report.temp_branch))]
     assert chain.index(report.base_commit) == statuses.count("succeeded")
+
+
+def test_a_repeated_run_id_hides_no_report(tmp_path):
+    """Two kernels on one data dir drawing run ids from the same seed give
+    their first runs one id: the second run is refused with DuplicateName
+    before it opens a branch or publishes, and the first report stays the
+    one runs.log serves."""
+    first = make_kernel(tmp_path / "lake", seed=5)
+    seed_raw(first)
+    report = first.run(PIPE, "main", RunOptions(principal="alice"))
+    assert report.outcome.kind == MERGED
+    second = make_kernel(tmp_path / "lake", seed=5)
+    branches = second.catalog.branches()
+    with pytest.raises(DuplicateName, match=report.run_id):
+        second.run(PIPE.replace("pipeline duo", "pipeline other"), "main",
+                   RunOptions(principal="alice"))
+    assert second.catalog.branches() == branches
+    assert (tmp_path / "lake" / "runs.log").read_bytes().count(b"\n") == 1
+    assert make_kernel(tmp_path / "lake").get_run(report.run_id) == report

@@ -1,11 +1,14 @@
+import json
+import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
+from conftest import child_env, count_journal_reads
 from lakekernel.engine import parse_query
-from lakekernel.errors import Denied, DuplicateName, LakeError, MergeRefused, ShapeError
+from lakekernel.errors import (CorruptRecord, Denied, DuplicateName, LakeError, MergeRefused,
+                               ShapeError)
 from lakekernel.governance import parse_policy
 from lakekernel.runner import MERGED, RunOptions, VERIFIER_REJECTED
 from lakekernel.store import TableData
@@ -59,8 +62,9 @@ def test_register_duplicate_name(kernel):
 
 @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", "Upper", "", "v1\n"])
 def test_register_refuses_names_that_are_not_plain_file_names(kernel, name):
-    """A verifier's name becomes its file name, so one holding a path could
-    write outside verifiers/; such names are refused and nothing is written."""
+    """A verifier's name is its verifiers.log key, so one holding a space or
+    a newline could forge a line; only [a-z0-9_-]+ names are taken, and a
+    refused name writes nothing."""
     def files():  # everything under the test's directory but the audit log
         return sorted(p for p in kernel.data_dir.parent.rglob("*") if p.name != "audit.log")
 
@@ -165,6 +169,23 @@ def test_manual_merge_allowed_without_verifier_run(kernel):
     assert result.ok
 
 
+def test_a_misshapen_verdict_for_another_commit_refuses_every_merge(kernel):
+    """A verdict file holding a body that is not a verdict is CorruptRecord
+    for every merge, whichever commit the bad body names."""
+    seed_raw(kernel)
+    kernel.create_branch("feature", "main", "alice")
+    sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
+    kernel.commit_tables("feature", {"extra": sid}, kernel.catalog.head("feature"),
+                         "alice", "extra")
+    bad = {"run_id": "r", "verifier": "v", "verdict": "pass", "detail": "",
+           "evaluated_at": "0" * 64, "extra": 1}
+    (kernel.data_dir / "verdicts" / "r.json").write_text(json.dumps([bad]))
+    main = kernel.catalog.head("main")
+    with pytest.raises(CorruptRecord, match="r.json"):
+        kernel.merge("feature", "main", "alice")
+    assert kernel.catalog.head("main") == main
+
+
 def test_verdicts_persisted_per_run(kernel):
     seed_raw(kernel)
     kernel.register_verifier("nonempty", "duo",
@@ -176,31 +197,82 @@ def test_verdicts_persisted_per_run(kernel):
     assert len(at_commit) == 1
 
 
-def test_register_race_across_processes_keeps_the_first(kernel, monkeypatch):
-    """Two registries on one data dir stand for two processes: the second's
-    existence check can run before the first's file lands, and still only
-    one verifier of the name may be published."""
-    registries = [VerifierRegistry(kernel.data_dir, kernel.catalog) for _ in range(2)]
-    specs = [VerifierSpec("v1", "duo", parse_query("SELECT true AS ok FROM t_b"), "alice"),
-             VerifierSpec("v1", "*", parse_query("SELECT false AS ok FROM t_b"), "bob")]
-    path = kernel.data_dir / "verifiers" / "v1.json"
-    registries[0].register(specs[0])
-    first_body = path.read_bytes()
+_REGISTER = r"""
+import sys
+from lakekernel.engine import parse_query
+from lakekernel.errors import DuplicateName
+from lakekernel.verify import VerifierRegistry, VerifierSpec
 
-    real_exists = Path.exists
-    missed = []
+root, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+registry = VerifierRegistry(root, None)
+check = parse_query("SELECT true AS ok FROM t_b")
+print("ready", flush=True)
+sys.stdin.readline()  # both children start registering together
+won = []
+for i in range(count):
+    try:
+        registry.register(VerifierSpec(f"v{i}", tag, check, tag))
+        won.append(f"v{i}")
+    except DuplicateName:
+        pass
+print(" ".join(won))
+"""
 
-    def exists_misses_once(self, *args, **kwargs):
-        if self == path and not missed:
-            missed.append(self)
-            return False
-        return real_exists(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "exists", exists_misses_once)
-    with pytest.raises(DuplicateName):
-        registries[1].register(specs[1])
-    assert path.read_bytes() == first_body
-    assert [p.name for p in path.parent.iterdir()] == ["v1.json"]  # no temp left
+def test_register_race_across_two_processes_one_winner_per_name(kernel):
+    """Two processes register the same 200 names at once: each name has
+    exactly one winner, whose line is the only one for the name, and every
+    name is listed with the winner's body."""
+    count = 200
+    procs = [subprocess.Popen([sys.executable, "-c", _REGISTER, str(kernel.data_dir),
+                               tag, str(count)], env=child_env(), text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for tag in ("p0", "p1")]
+    outs = []
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        outs = [proc.communicate(timeout=60)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert [proc.returncode for proc in procs] == [0, 0]
+    won = {}
+    for tag, out in zip(("p0", "p1"), outs):
+        for name in out.split():
+            assert name not in won
+            won[name] = tag
+    assert sorted(won) == sorted(f"v{i}" for i in range(count))
+    lines = (kernel.data_dir / "verifiers.log").read_bytes().splitlines()
+    assert sorted(line.split(b" ", 1)[0].decode() for line in lines) == sorted(won)
+    specs = VerifierRegistry(kernel.data_dir, kernel.catalog).list_verifiers()
+    assert {s.name: (s.pipeline, s.registered_by) for s in specs} == \
+        {name: (tag, tag) for name, tag in won.items()}
+
+
+def test_warm_registry_reads_only_appended_bytes(kernel, monkeypatch):
+    """Once a registry has parsed its verifiers, listing them again reads no
+    verifiers.log byte; a verifier another process registers costs that
+    one line and its body."""
+    check = parse_query("SELECT true AS ok FROM t_b")
+    kernel.register_verifier("v1", "duo", "SELECT true AS ok FROM t_b", "alice")
+    assert [v.name for v in kernel.verifiers.matching("duo")] == ["v1"]
+    reads = count_journal_reads(monkeypatch, "verifiers.log")
+    for _ in range(3):
+        assert [v.name for v in kernel.verifiers.matching("duo")] == ["v1"]
+    assert reads == [0, 0, 0]  # each list catches up, and finds nothing new
+    log = kernel.data_dir / "verifiers.log"
+    before = log.stat().st_size
+    other = VerifierRegistry(kernel.data_dir, kernel.catalog)  # another process's view
+    other.register(VerifierSpec("v2", "duo", check, "bob"))
+    line = log.stat().st_size - before
+    del reads[:]
+    assert [v.name for v in kernel.verifiers.matching("duo")] == ["v1", "v2"]
+    assert reads == [line, line - len(b"v2 \n")]  # the new line, then v2's body
 
 
 def test_concurrent_registrations_of_one_name_exactly_one_wins(kernel):
@@ -232,4 +304,5 @@ def test_concurrent_registrations_of_one_name_exactly_one_wins(kernel):
     assert len(outcomes) == 8 and len(winners) == 1
     [spec] = kernel.verifiers.list_verifiers()
     assert spec.pipeline == f"p{winners[0]}"
-    assert [p.name for p in (kernel.data_dir / "verifiers").iterdir()] == ["v1.json"]
+    assert (kernel.data_dir / "verifiers.log").read_bytes().count(b"\n") == 1
+    assert not (kernel.data_dir / "verifiers").exists()
