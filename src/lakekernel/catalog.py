@@ -37,7 +37,7 @@ from .errors import (
 )
 from .store import SnapshotStore, TableData
 # atomic_write is unused here but stays importable: perfbench wraps catalog.atomic_write
-from .util import Journal, Records, SystemClock, atomic_write  # noqa: F401
+from .util import Journal, Records, SystemClock, atomic_write, decoder  # noqa: F401
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
@@ -55,7 +55,7 @@ DELETE = _Delete()
 class Commit:
     id: str
     parents: tuple[str, ...]
-    tables: dict  # table name -> snapshot id
+    tables: dict[str, str]  # table name -> snapshot id
     author: str
     message: str
     timestamp: int
@@ -83,16 +83,8 @@ class Commit:
         try:
             if hashlib.sha256(data).hexdigest() != commit_id:
                 raise ValueError("its body does not hash to its id")
-            body = json.loads(data)
-            parents, tables = body["parents"], body["tables"]
-            if not (type(parents) is list and type(tables) is dict
-                    and type(body["timestamp"]) is int
-                    and all(type(s) is str for s in (*parents, *tables, *tables.values(),
-                                                       body["author"], body["message"]))):
-                raise TypeError(f"not a commit: {body!r:.80}")
-            return Commit(commit_id, tuple(parents), tables,
-                          body["author"], body["message"], body["timestamp"])
-        except (ValueError, TypeError, KeyError) as exc:
+            return decoder(Commit)({**json.loads(data), "id": commit_id})
+        except (ValueError, TypeError) as exc:
             raise CorruptRecord(f"commit {commit_id!r} is corrupt: {exc!r}") from None
 
 

@@ -473,7 +473,7 @@ def main(argv=None) -> int:
         else:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

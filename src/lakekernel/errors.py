@@ -102,12 +102,12 @@ class UnknownRun(LakeError):
 
 
 class CorruptRun(LakeError):
-    """A run report file that is torn, not JSON, or not a report."""
+    """A runs.log line whose report is torn, not JSON, or not a report."""
 
 
 class CorruptRecord(LakeError):
-    """A commit, verifier or verdict record, or a trace file, that is torn,
-    not JSON, or not what it claims to be."""
+    """A commit, verifier, verdict or audit record, or a trace file, that is
+    torn, not JSON, or not what it claims to be."""
 
 
 class DuplicateName(LakeError):

@@ -14,9 +14,9 @@ import tomllib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import Denied, InvalidPolicy
+from .errors import CorruptRecord, Denied, InvalidPolicy
 from .errors import ParseError as PolicyParseError
-from .util import Journal
+from .util import Journal, decoder
 
 # permission kind -> number of glob arguments
 PERMISSION_KINDS = {
@@ -294,5 +294,10 @@ class Governor:
 
     @property
     def records(self) -> list[AuditRecord]:
-        """Every audit record in the file, in seq order."""
-        return [AuditRecord(**json.loads(line)) for line in self._journal.entries()]
+        """Every audit record in the file, in seq order; a line that is not
+        one is CorruptRecord."""
+        decode = decoder(AuditRecord)
+        try:
+            return [decode(json.loads(line)) for line in self._journal.entries()]
+        except (ValueError, TypeError) as exc:
+            raise CorruptRecord(f"{self.audit_path} holds a corrupt record: {exc!r}") from None

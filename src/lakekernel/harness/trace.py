@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import CorruptRecord
+from ..util import decoder
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,10 @@ class TraceEvent:
 class Trace:
     workload: dict
     target: str
-    initial_map: dict
-    final_map: dict
-    commits: dict = field(default_factory=dict)  # commit id -> table map
-    events: list = field(default_factory=list)
-
-    @staticmethod
-    def from_json(body: dict) -> "Trace":
-        return Trace(**{**body, "events": [TraceEvent(**e) for e in body["events"]]})
+    initial_map: dict[str, str]
+    final_map: dict[str, str]
+    commits: dict[str, dict[str, str]] = field(default_factory=dict)  # commit id -> table map
+    events: list[TraceEvent] = field(default_factory=list)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True),
@@ -43,8 +40,8 @@ class Trace:
     def load(path) -> "Trace":
         """The trace saved at `path`; a file that is not one is CorruptRecord."""
         try:
-            return Trace.from_json(json.loads(Path(path).read_text("utf-8")))
-        except (ValueError, TypeError, KeyError) as exc:
+            return decoder(Trace)(json.loads(Path(path).read_text("utf-8")))
+        except (ValueError, TypeError) as exc:
             raise CorruptRecord(f"{path} is not a trace: {exc!r}") from None
 
 

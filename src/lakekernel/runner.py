@@ -15,16 +15,13 @@ import json
 import re
 import time
 import weakref
-from dataclasses import asdict, dataclass, is_dataclass
-from functools import cache
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from .catalog import MergeResult
 from .engine import PipelineSpec, execute_plan, format_pipeline, plan
 from .errors import CorruptRun, DuplicateName, LakeError, UnknownInput, UnknownRun
-from .util import Records
+from .util import Records, decoder
 from .verify import VerdictRecord
 
 SUCCEEDED = "succeeded"
@@ -79,7 +76,7 @@ class RunReport:
     base_commit: str | None
     node_results: tuple[NodeResult, ...]
     outcome: Outcome
-    timings: dict  # node -> wall milliseconds
+    timings: dict[str, float]  # node -> wall milliseconds
     verdicts: tuple[VerdictRecord, ...] = ()
 
     def final_commit(self) -> str | None:
@@ -89,44 +86,6 @@ class RunReport:
             if result.status == SUCCEEDED:
                 last = result.commit_id
         return last or self.base_commit
-
-    @staticmethod
-    def from_json(body) -> "RunReport":
-        """Raises TypeError where `body` does not fit the record's types."""
-        return _decoder(RunReport)(body)
-
-
-@cache
-def _decoder(hint):
-    """The function from a record's JSON to the type `hint`, built once per
-    type: objects become the nested records and lists become tuples, with
-    every field's type checked."""
-    if get_origin(hint) is UnionType:  # every union in a report is `X | None`
-        arm, = (a for a in get_args(hint) if a is not NoneType)
-        inner = _decoder(arm)
-        return lambda value: None if value is None else inner(value)
-    if is_dataclass(hint):
-        fields = {k: _decoder(t) for k, t in get_type_hints(hint).items()}
-
-        def record(value):
-            if type(value) is not dict or not value.keys() <= fields.keys():
-                raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
-            return hint(**{k: fields[k](v) for k, v in value.items()})
-        return record
-    if get_origin(hint) is tuple:
-        item = _decoder(get_args(hint)[0])
-
-        def items(value):
-            if type(value) is not list:
-                raise TypeError(f"not a list: {value!r:.80}")
-            return tuple(map(item, value))
-        return items
-
-    def leaf(value):
-        if not isinstance(value, hint):
-            raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
-        return value
-    return leaf
 
 
 class Runner:
@@ -153,7 +112,7 @@ class Runner:
         if body is None:
             raise UnknownRun(f"no run {run_id!r}")
         try:
-            report = RunReport.from_json(json.loads(body))
+            report = decoder(RunReport)(json.loads(body))
         except (ValueError, TypeError) as exc:  # torn, not JSON, or not a report
             raise CorruptRun(f"run {run_id!r} has a corrupt report: {exc}") from None
         if report.run_id != run_id:

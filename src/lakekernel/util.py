@@ -1,5 +1,6 @@
 """Small shared helpers: atomic file writes, an append-only journal and
-the keyed records kept in one, clocks and id sources.
+the keyed records kept in one, the typed decoder every JSON record read
+back from disk goes through, clocks and id sources.
 
 Clocks and id sources are injectable so scripted scenarios and the
 concurrency harness can reproduce identical commit ids and run ids across
@@ -13,8 +14,11 @@ import os
 import threading
 import time
 import uuid
-from functools import partial
+from dataclasses import is_dataclass
+from functools import cache, partial
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 MASK64 = (1 << 64) - 1
 
@@ -169,6 +173,55 @@ def _index_bodies(index: dict, chunk: bytes, offset: int) -> None:
         if sep >= 0:
             index[line[:sep].decode("ascii", "replace")] = (offset + sep + 1, len(line) - sep - 1)
         offset += len(line) + 1
+
+
+@cache
+def decoder(hint):
+    """The function from a record's JSON value to the type `hint`, built once
+    per type; it raises TypeError where the value does not fit. A dataclass
+    is an object of its fields (an absent one takes its default), `X | None`
+    is null or X, `tuple[X, ...]` and `list[X]` are lists, `dict[K, V]` is an
+    object, and a leaf type matches exactly, so a bool is not an int. A hint
+    it cannot check is a TypeError when the decoder is built."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType and len(args) == 2 and NoneType in args:  # X | None
+        arm, = set(args) - {NoneType}
+        inner = decoder(arm)
+        return lambda value: None if value is None else inner(value)
+    if is_dataclass(hint):
+        fields = {k: decoder(t) for k, t in get_type_hints(hint).items()}
+
+        def record(value):
+            if type(value) is not dict or not value.keys() <= fields.keys():
+                raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
+            return hint(**{k: fields[k](v) for k, v in value.items()})
+        return record
+    if origin is dict:
+        key, val = map(decoder, args)
+
+        def mapping(value):
+            if type(value) is not dict:
+                raise TypeError(f"not an object: {value!r:.80}")
+            return {key(k): val(v) for k, v in value.items()}
+        return mapping
+    if origin in (list, tuple):
+        if origin is tuple and args[1:] != (...,):
+            raise TypeError(f"no decoder for {hint!r}")
+        item = decoder(args[0])
+
+        def items(value):
+            if type(value) is not list:
+                raise TypeError(f"not a list: {value!r:.80}")
+            return origin(map(item, value))
+        return items
+    if hint not in (str, int, float, bool, dict):
+        raise TypeError(f"no decoder for {hint!r}")
+
+    def leaf(value):
+        if type(value) is not hint:
+            raise TypeError(f"not a {hint.__name__}: {value!r:.80}")
+        return value
+    return leaf
 
 
 def splitmix64(state: int) -> tuple[int, int]:

@@ -28,7 +28,7 @@ from .engine import (
 )
 from .errors import CorruptRecord, DuplicateName, LakeError, ShapeError
 from .governance import glob_match
-from .util import Records, atomic_write
+from .util import Records, atomic_write, decoder
 
 PASS = "pass"
 FAIL = "fail"
@@ -113,12 +113,10 @@ class VerifierRegistry:
         names = self._records.keys()
         for name in sorted(set(names) - self._specs.keys()):
             try:
-                body = json.loads(self._records.get(name))
-                fields = body["pipeline"], body["check"], body["registered_by"]
-                if not all(type(f) is str for f in fields):
-                    raise TypeError(f"not a verifier: {body!r:.80}")
-                self._specs[name] = VerifierSpec(name, fields[0], parse_query(fields[1]),
-                                                 fields[2])
+                body = decoder(dict[str, str])(json.loads(self._records.get(name)))
+                self._specs[name] = VerifierSpec(name, body["pipeline"],
+                                                 parse_query(body["check"]),
+                                                 body["registered_by"])
             except (ValueError, TypeError, KeyError, LakeError) as exc:
                 raise CorruptRecord(f"verifier {name!r} in {self._records.path} "
                                     f"is corrupt: {exc!r}") from None
@@ -185,23 +183,14 @@ class VerifierRegistry:
         return _verdicts_in(self._verdicts_dir.glob("*.json"), commit_id)
 
 
-_VERDICT_FIELDS = VerdictRecord.__dataclass_fields__.keys()
-
-
 def _verdicts_in(paths, commit_id: str | None = None) -> list[VerdictRecord]:
     """The verdicts in the files at `paths` (bound to `commit_id`, if given).
     A torn, non-JSON or misshapen file is CorruptRecord, so a merge fails closed."""
-    out = []
+    out, decode = [], decoder(list[VerdictRecord])
     try:
-        for path in paths:
-            bodies = json.loads(path.read_text("utf-8"))
-            if type(bodies) is not list:
-                raise TypeError(f"not a list: {bodies!r:.80}")
-            for body in bodies:  # every body is checked, so no merge ignores a bad one
-                if type(body) is not dict or body.keys() != _VERDICT_FIELDS:
-                    raise TypeError(f"not a verdict: {body!r:.80}")
-                if commit_id is None or body["evaluated_at"] == commit_id:
-                    out.append(VerdictRecord(**body))
-    except (ValueError, TypeError, KeyError) as exc:
+        for path in paths:  # every verdict is decoded, so no merge ignores a bad one
+            out += (v for v in decode(json.loads(path.read_text("utf-8")))
+                    if commit_id is None or v.evaluated_at == commit_id)
+    except (ValueError, TypeError) as exc:
         raise CorruptRecord(f"{path} is corrupt: {exc!r}") from None
     return out

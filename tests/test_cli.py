@@ -312,6 +312,7 @@ def test_corrupt_run_reports_are_errors_that_name_the_run(env, capsys):
                    {**report, "node_results": [{"node": "t_a", "status": None}]},
                    {**report, "outcome": {**report["outcome"], "merge": "x"}},
                    {**report, "verdicts": {}}, {**report, "extra": 1},
+                   {**report, "timings": {"t_a": "slow"}},
                    {**report, "run_id": OTHER_RUN}]
     bodies = [b"{}", good[:len(good) // 2], b"\xff", b"[]",
               *(json.dumps(r).encode() for r in wrong_types)]
@@ -321,8 +322,8 @@ def test_corrupt_run_reports_are_errors_that_name_the_run(env, capsys):
             code, body = run_json(capsys, ["--data-dir", data, *command])
             assert (code, body["error"]) == (1, "CorruptRun"), (command, bad)
             assert run_id in body["reason"]
-        assert main(["--data-dir", data, "runs", "list"]) == 1
-        assert "CorruptRun" in capsys.readouterr().err
+            assert main(["--data-dir", data, *command]) == 1
+            assert "CorruptRun" in capsys.readouterr().err
     path.write_bytes(line)
     code, body = run_json(capsys, ["--data-dir", data, "runs", "list"])
     assert code == 0 and [r["run_id"] for r in body["runs"]] == [run_id]
@@ -431,11 +432,12 @@ def _commit_lines(data) -> dict:
 
 def test_a_misshapen_commit_body_is_corrupt(env, capsys):
     """A commits.log body that hashes to its id but is not a commit's (a
-    field missing, or of the wrong type) is CorruptRecord, not a crash."""
+    field missing or extra, or of the wrong type) is CorruptRecord, not a crash."""
     data, path = env["data"], Path(env["data"]) / "commits.log"
     real = json.loads(next(iter(_commit_lines(data).values()))[65:])
     for body in ({"author": "x"}, {**real, "parents": "ab"}, {**real, "tables": [["a", "b"]]},
-                 {**real, "timestamp": "0"}, {**real, "tables": {"a": 5}}, [real]):
+                 {**real, "timestamp": "0"}, {**real, "tables": {"a": 5}}, [real],
+                 {**real, "extra": 1}):
         data_bytes = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         commit_id = hashlib.sha256(data_bytes).hexdigest()
         with open(path, "ab") as f:
@@ -638,12 +640,31 @@ def test_check_refuses_a_file_that_is_not_a_trace(env, capsys, tmp_path):
     Trace({}, "main", {}, {}).save(path)
     whole = path.read_bytes()
     for bad in (b"", b"\xff", whole[:len(whole) // 2], b"[]", b"{}", b'{"events": []}',
-                whole.replace(b'"events": []', b'"events": [{"seq": 1}]')):
+                whole.replace(b'"events": []', b'"events": [{"seq": 1}]'),
+                whole.replace(b'"commits": {}', b'"commits": 5'),
+                whole.replace(b'"initial_map": {}', b'"initial_map": 5'),
+                whole.replace(b'"events": []', b'"events": [{"agent": 0, "fields": 5, '
+                                                b'"op": "scan", "seq": 1}]')):
         path.write_bytes(bad)
         code, body = run_json(capsys, ["--data-dir", env["data"], "check",
                                        "--trace", str(path)])
         assert (code, body["error"]) == (1, "CorruptRecord"), bad
         assert str(path) in body["reason"]
+
+
+@pytest.mark.parametrize("case", ["run-a-directory", "import-a-directory",
+                                  "run-non-utf8", "init-policy-non-utf8"])
+def test_an_input_file_that_cannot_be_read_is_one_error_line(env, capsys, case):
+    data, tmp = env["data"], env["tmp"]
+    garbled = tmp / "garbled"
+    garbled.write_bytes(b"\xff\xfe")
+    argv = {"run-a-directory": ["run", str(tmp), "--as", "dana"],
+            "import-a-directory": ["table", "import", "raw2", "--csv", str(tmp), "--as", "dana"],
+            "run-non-utf8": ["run", str(garbled), "--as", "dana"],
+            "init-policy-non-utf8": ["init", "--policy", str(garbled)]}[case]
+    assert main(["--data-dir", data, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_domain_error_json_shape(env, capsys):

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from lakekernel.engine import EnvSpec
-from lakekernel.errors import Denied, InvalidPolicy, LakeError, ParseError
+from lakekernel.errors import CorruptRecord, Denied, InvalidPolicy, LakeError, ParseError
 from lakekernel.governance import (
     EMPTY_POLICY,
     Governor,
@@ -304,6 +304,20 @@ def test_governor_records_one_audit_record_per_check(tmp_path):
     assert [r.seq for r in gov.records] == [1, 2]
     lines = (tmp_path / "audit.log").read_text().strip().split("\n")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("bad", [b"[]", b"7", b"not json", b'{"seq": 2}',
+                                 b'{"action": "a", "allowed": 1, "principal": "p", '
+                                 b'"reason": "r", "seq": 2}'],
+                         ids=["a-list", "a-number", "not-json", "fields-missing", "int-for-bool"])
+def test_an_audit_line_that_is_not_a_record_is_corrupt(tmp_path, bad):
+    path = tmp_path / "audit.log"
+    gov = Governor(EMPTY_POLICY, audit_path=path)
+    gov.check("x", Permission("WriteBranch", ("main",)))
+    with open(path, "ab") as f:
+        f.write(bad + b"\n")
+    with pytest.raises(CorruptRecord, match="audit.log"):
+        gov.records
 
 
 def test_governor_require_raises_denied(tmp_path):

@@ -21,6 +21,7 @@ from lakekernel.runner import (
     SUCCEEDED_OPEN,
 )
 from lakekernel.store import TableData
+from lakekernel.util import decoder
 
 PIPE = """\
 pipeline duo
@@ -202,13 +203,13 @@ def test_report_json_roundtrip(kernel):
                         RunOptions(principal="alice", fail_after="t_a"))
     key, raw = (kernel.data_dir / "runs.log").read_text().rstrip("\n").split(" ", 1)
     assert key == report.run_id
-    assert RunReport.from_json(json.loads(raw)) == report
+    assert decoder(RunReport)(json.loads(raw)) == report
     assert kernel.get_run(report.run_id) == report
 
 
 def test_report_from_json_defaults_absent_keys():
     """A report body that omits optional keys decodes to the record's defaults."""
-    report = RunReport.from_json({
+    report = decoder(RunReport)({
         "run_id": "r", "pipeline": "p", "pipeline_text": "", "target_branch": "main",
         "temp_branch": None, "base_commit": None, "timings": {},
         "node_results": [{"node": "n", "status": "skipped"}],

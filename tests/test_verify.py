@@ -171,18 +171,21 @@ def test_manual_merge_allowed_without_verifier_run(kernel):
 
 def test_a_misshapen_verdict_for_another_commit_refuses_every_merge(kernel):
     """A verdict file holding a body that is not a verdict is CorruptRecord
-    for every merge, whichever commit the bad body names."""
+    for every merge, whichever commit the bad body names; a failing one at
+    the source head does not reach the refusal's message."""
     seed_raw(kernel)
     kernel.create_branch("feature", "main", "alice")
     sid = kernel.store.put_snapshot(TableData.build(["v:int64"], [(1,)]))
-    kernel.commit_tables("feature", {"extra": sid}, kernel.catalog.head("feature"),
-                         "alice", "extra")
-    bad = {"run_id": "r", "verifier": "v", "verdict": "pass", "detail": "",
-           "evaluated_at": "0" * 64, "extra": 1}
-    (kernel.data_dir / "verdicts" / "r.json").write_text(json.dumps([bad]))
+    head = kernel.commit_tables("feature", {"extra": sid}, kernel.catalog.head("feature"),
+                                "alice", "extra").id
+    verdict = {"run_id": "r", "verifier": "v", "verdict": "pass", "detail": "",
+               "evaluated_at": "0" * 64}
     main = kernel.catalog.head("main")
-    with pytest.raises(CorruptRecord, match="r.json"):
-        kernel.merge("feature", "main", "alice")
+    for bad in ({**verdict, "extra": 1},
+                {**verdict, "verifier": 5, "verdict": "fail", "evaluated_at": head}):
+        (kernel.data_dir / "verdicts" / "r.json").write_text(json.dumps([bad]))
+        with pytest.raises(CorruptRecord, match="r.json"):
+            kernel.merge("feature", "main", "alice")
     assert kernel.catalog.head("main") == main
 
 
