@@ -16,7 +16,6 @@ import contextlib
 import hashlib
 import json
 import re
-import threading
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -36,8 +35,8 @@ from .errors import (
     UnknownTable,
 )
 from .store import SnapshotStore, TableData
-# atomic_write is unused here but stays importable: perfbench wraps catalog.atomic_write
-from .util import Journal, Records, SystemClock, atomic_write, decoder  # noqa: F401
+from .util import Journal, Records, SystemClock, decoder
+from .util import atomic_write  # noqa: F401  unused here; perfbench wraps catalog.atomic_write
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
@@ -131,8 +130,9 @@ class Catalog:
         # the fold holds its dict, not self: no cycle keeps a dropped catalog alive
         self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
         self._commits = Records(self.root / "commits.log")
+        # no lock: a dict get or set is atomic (free-threaded CPython too), a
+        # Commit is immutable, and two threads that miss one id store equal values
         self._cache: dict[str, Commit] = {}
-        self._cache_lock = threading.Lock()
 
     # -- bootstrap ----------------------------------------------------------
 
@@ -216,17 +216,12 @@ class Catalog:
 
     def _write_commit(self, commit: Commit) -> None:
         self._commits.put(commit.id, commit.body_json())
-        with self._cache_lock:
-            self._cache[commit.id] = commit
+        self._cache[commit.id] = commit
 
     def get_commit(self, commit_id: str) -> Commit:
-        with self._cache_lock:
-            cached = self._cache.get(commit_id)
-        if cached is not None:
-            return cached
-        commit = self._read_commit(commit_id)
-        with self._cache_lock:
-            self._cache[commit_id] = commit
+        commit = self._cache.get(commit_id)
+        if commit is None:
+            commit = self._cache[commit_id] = self._read_commit(commit_id)
         return commit
 
     def _read_commit(self, commit_id: str) -> Commit:
@@ -273,8 +268,7 @@ class Catalog:
         time. A commit not in the cache is read without being cached, so a
         walk of the whole history holds one commit."""
         while True:
-            with self._cache_lock:
-                commit = self._cache.get(commit_id)
+            commit = self._cache.get(commit_id)
             if commit is None:
                 commit = self._read_commit(commit_id)
             yield commit
@@ -282,54 +276,39 @@ class Catalog:
                 return
             commit_id = commit.parents[0]
 
-    def _is_ancestor(self, maybe_ancestor: str, descendant: str) -> bool:
-        seen = {descendant}
-        work = deque([descendant])
-        while work:
-            cid = work.popleft()
-            if cid == maybe_ancestor:
-                return True
-            for p in self.get_commit(cid).parents:
-                if p not in seen:
-                    seen.add(p)
-                    work.append(p)
-        return False
-
     def merge_base(self, a: str, b: str) -> str:
         """A lowest common ancestor; ties resolved by greatest timestamp,
-        then lexicographically smallest id."""
-        candidates = self._lca_candidates(a, b)
-        # a flag walk can surface a candidate that is itself an ancestor of
-        # another; drop those so only true LCAs compete in the tie-break
-        maximal = [c for c in candidates
-                   if not any(c != d and self._is_ancestor(c, d) for d in candidates)]
-        if not maximal:
-            raise NoCommonAncestor(f"{a[:12]} and {b[:12]} share no root")
-        return min(maximal, key=lambda c: (-self.get_commit(c).timestamp, c))
+        then lexicographically smallest id.
 
-    def _lca_candidates(self, a: str, b: str) -> list[str]:
-        # breadth-first flag propagation in the style of git merge-base
+        One breadth-first flag walk in the style of git merge-base, run
+        until no flag changes: a commit reached from both heads and below
+        no LCA found so far is found, and its ancestors are marked DNC, as
+        none of them can be lowest. At the end every ancestor of a found
+        commit carries DNC, so the found commits without it are exactly the
+        maximal common ancestors."""
         if a == b:
-            return [a]
+            return a
         ANC_A, ANC_B, DNC, LCA = 1, 2, 4, 8
         states = {a: ANC_A, b: ANC_B}
         work = deque([a, b])
         found = []
         while work:
-            if all(states[c] & DNC for c in work):
-                break
             cid = work.popleft()
             flags = states[cid]
-            if flags & ANC_A and flags & ANC_B and not flags & (LCA | DNC):
-                states[cid] = flags = flags | LCA
+            if flags == ANC_A | ANC_B:  # common, and below no LCA found so far
+                states[cid] = flags | LCA
                 found.append(cid)
-                flags |= DNC  # ancestors of an LCA cannot be better LCAs
+                flags |= DNC
+            flags &= ~LCA  # the mark stays on the found commit
             for p in self.get_commit(cid).parents:
-                merged = states.get(p, 0) | flags
-                if states.get(p) != merged:
-                    states[p] = merged
+                old = states.get(p, 0)
+                if old | flags != old:
+                    states[p] = old | flags
                     work.append(p)
-        return [c for c in found if not states[c] & DNC]
+        lowest = [c for c in found if not states[c] & DNC]
+        if not lowest:
+            raise NoCommonAncestor(f"{a[:12]} and {b[:12]} share no root")
+        return min(lowest, key=lambda c: (-self.get_commit(c).timestamp, c))
 
     # -- reads ------------------------------------------------------------------
 

@@ -47,7 +47,7 @@ class _Ctx:
             path = Path(self.args.policy) if self.args.policy else \
                 self.data_dir / "policy.toml"
             if path.exists():
-                policy = governance.load_policy(path)
+                policy = governance.parse_policy(_read_text(path))
             self._kernel = LakeKernel(self.data_dir, policy=policy)
         return self._kernel
 
@@ -106,11 +106,20 @@ def _table_json(table: TableData) -> dict:
             "rows": [list(r) for r in table.rows]}
 
 
+def _read_text(path) -> str:
+    """An input file's text. A file that is not UTF-8 is an OSError that
+    names it, as a missing file's is."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
 # --- commands ---------------------------------------------------------------
 
 def cmd_init(ctx: _Ctx) -> int:
     if ctx.args.policy:  # the kernel creates the data dir when there is none
-        text = Path(ctx.args.policy).read_text("utf-8")
+        text = _read_text(ctx.args.policy)
         governance.parse_policy(text)  # reject bad files before creating anything
         ctx.data_dir.mkdir(parents=True, exist_ok=True)
         atomic_write(ctx.data_dir / "policy.toml", text.encode("utf-8"))
@@ -209,7 +218,7 @@ def _run_exit_code(report) -> int:
 
 def cmd_run(ctx: _Ctx) -> int:
     principal = ctx.require_principal()
-    text = Path(ctx.args.pipeline).read_text("utf-8")
+    text = _read_text(ctx.args.pipeline)
     opts = RunOptions(principal=principal, fail_after=ctx.args.fail_after,
                       dry_run=ctx.args.dry_run, skip_merge=ctx.args.no_merge)
     report = ctx.kernel().run(text, ctx.args.branch, opts)
@@ -307,7 +316,7 @@ def cmd_heal(ctx: _Ctx) -> int:
     patches = []
     for path in sorted(Path(ctx.args.patches).glob("*")):
         if path.is_file():
-            patches.append(parse_pipeline(path.read_text("utf-8")))
+            patches.append(parse_pipeline(_read_text(path)))
     agent = healer.BaselineAgent(patches)
     result = healer.heal(kernel, ctx.args.run_id, agent, ctx.args.budget, principal)
     report = result.proposal

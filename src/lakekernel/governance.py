@@ -222,11 +222,6 @@ def parse_policy(text: str) -> Policy:
                   roles, _list_of(str, doc.get("whitelist", []), "whitelist"))
 
 
-def load_policy(path) -> Policy:
-    """Parse and validate, rejecting invalid files wholesale."""
-    return parse_policy(Path(path).read_text("utf-8"))
-
-
 def _toml_string(text: str) -> str:
     """`text` as a TOML basic string: each JSON string escape is a TOML one,
     TOML also escapes U+007F, and any other character is written as itself."""

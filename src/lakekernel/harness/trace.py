@@ -23,6 +23,12 @@ class TraceEvent:
     fields: dict
 
 
+# an event's `reads` is [table, snapshot id] pairs, its `published_delta` is
+# {table: snapshot id}: the two fields the checkers read
+_reads = decoder(list[list[str]] | None)
+_delta = decoder(dict[str, str] | None)
+
+
 @dataclass
 class Trace:
     workload: dict
@@ -38,11 +44,18 @@ class Trace:
 
     @staticmethod
     def load(path) -> "Trace":
-        """The trace saved at `path`; a file that is not one is CorruptRecord."""
+        """The trace saved at `path`; a file that is not one is CorruptRecord.
+        The event fields the checkers read are checked too."""
         try:
-            return decoder(Trace)(json.loads(Path(path).read_text("utf-8")))
+            trace = decoder(Trace)(json.loads(Path(path).read_text("utf-8")))
+            for event in trace.events:
+                _delta(event.fields.get("published_delta"))
+                if any(len(pair) != 2 for pair in _reads(event.fields.get("reads")) or ()):
+                    raise ValueError(f"event {event.seq} reads a non-pair")
+            return trace
         except (ValueError, TypeError) as exc:
             raise CorruptRecord(f"{path} is not a trace: {exc!r}") from None
+
 
 
 def published_delta(catalog, report) -> dict:

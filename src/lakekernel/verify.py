@@ -17,7 +17,6 @@ from .catalog import Catalog
 from .engine import (
     Aggregate,
     BinaryOp,
-    ColumnRef,
     Literal,
     NotOp,
     QueryAst,

@@ -21,9 +21,9 @@ from lakekernel.store import SnapshotStore, TableData
 from lakekernel.util import FixedClock, StepClock
 
 
-def make_catalog(tmp_path):
+def make_catalog(tmp_path, clock=None):
     store = SnapshotStore(tmp_path / "lake")
-    cat = Catalog(tmp_path / "lake", store, StepClock())
+    cat = Catalog(tmp_path / "lake", store, clock or StepClock())
     cat.init()
     return cat, store
 
@@ -621,14 +621,72 @@ def _random_dag(cat, store, rng, n_commits):
     return ids
 
 
-def test_merge_base_matches_oracle_on_random_dags(tmp_path):
+def test_merge_base_drops_a_common_ancestor_found_above_a_lower_one(tmp_path):
+    """x is a parent of both heads, so the breadth-first walk finds it at
+    depth 1; y, a child of x six commits below both chains, is the LCA. x
+    has the later timestamp, so the tie-break alone would pick it."""
     cat, store = make_catalog(tmp_path)
+    from lakekernel.catalog import Commit
+
+    def commit(*parents, timestamp=None):
+        c = Commit.make(parents, {}, "x", "c", timestamp or cat.clock.now())
+        cat._write_commit(c)
+        return c.id
+
+    x = commit(cat.head("main"), timestamp=10**6)
+    y = commit(x)
+    tops = [y, y]
+    for _ in range(6):
+        tops = [commit(top) for top in tops]
+    a, b = (commit(top, x) for top in tops)
+    assert cat.merge_base(a, b) == y
+    assert lca_oracle(cat, a, b) == y
+
+
+@pytest.mark.parametrize("clock", [StepClock, lambda: FixedClock(0)],
+                         ids=["StepClock", "FixedClock"])
+def test_merge_base_matches_oracle_on_random_dags(tmp_path, clock):
+    # under FixedClock every timestamp ties, so the id decides the tie-break
+    cat, store = make_catalog(tmp_path, clock())
     rng = random.Random(2024)
     for trial in range(30):
         ids = _random_dag(cat, store, rng, rng.randint(3, 50))
         for _ in range(10):
             a, b = rng.choice(ids), rng.choice(ids)
             assert cat.merge_base(a, b) == lca_oracle(cat, a, b), (trial, a, b)
+
+
+def test_threads_on_a_cold_catalog_read_what_one_thread_reads(tmp_path):
+    cat, store = make_catalog(tmp_path)
+    rng = random.Random(7)
+    ids = _random_dag(cat, store, rng, 300)
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(40)]
+    bases = [cat.merge_base(a, b) for a, b in pairs]
+    commits = [cat.get_commit(c) for c in ids]
+    cold = Catalog(tmp_path / "lake", store, StepClock())  # has read no commit
+    start = threading.Barrier(4)
+    seen = []
+
+    def reader(shift):
+        start.wait()
+        order = ids[shift:] + ids[:shift]
+        seen.append(([cold.merge_base(a, b) for a, b in pairs],
+                     {c: cold.get_commit(c) for c in order}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as CPython will
+    try:
+        threads = [threading.Thread(target=reader, args=(75 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 4
+    for got_bases, got_commits in seen:
+        assert got_bases == bases
+        assert [got_commits[c] for c in ids] == commits
 
 
 # --- three-way merge -----------------------------------------------------------

@@ -644,7 +644,11 @@ def test_check_refuses_a_file_that_is_not_a_trace(env, capsys, tmp_path):
                 whole.replace(b'"commits": {}', b'"commits": 5'),
                 whole.replace(b'"initial_map": {}', b'"initial_map": 5'),
                 whole.replace(b'"events": []', b'"events": [{"agent": 0, "fields": 5, '
-                                                b'"op": "scan", "seq": 1}]')):
+                                                b'"op": "scan", "seq": 1}]'),
+                *(whole.replace(b'"events": []', b'"events": [{"agent": 0, "fields": %s, '
+                                                 b'"op": "scan", "seq": 1}]' % fields)
+                  for fields in (b'{"reads": 5}', b'{"published_delta": 5}',
+                                 b'{"reads": [["t", "s", "u"]]}'))):
         path.write_bytes(bad)
         code, body = run_json(capsys, ["--data-dir", env["data"], "check",
                                        "--trace", str(path)])
@@ -653,18 +657,27 @@ def test_check_refuses_a_file_that_is_not_a_trace(env, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["run-a-directory", "import-a-directory",
-                                  "run-non-utf8", "init-policy-non-utf8"])
+                                  "run-non-utf8", "init-policy-non-utf8",
+                                  "policy-non-utf8", "heal-patch-non-utf8"])
 def test_an_input_file_that_cannot_be_read_is_one_error_line(env, capsys, case):
     data, tmp = env["data"], env["tmp"]
-    garbled = tmp / "garbled"
+    patches = tmp / "patches"
+    patches.mkdir()
+    garbled = patches / "garbled"
     garbled.write_bytes(b"\xff\xfe")
-    argv = {"run-a-directory": ["run", str(tmp), "--as", "dana"],
-            "import-a-directory": ["table", "import", "raw2", "--csv", str(tmp), "--as", "dana"],
-            "run-non-utf8": ["run", str(garbled), "--as", "dana"],
-            "init-policy-non-utf8": ["init", "--policy", str(garbled)]}[case]
+    argv, named = {
+        "run-a-directory": (["run", str(tmp), "--as", "dana"], tmp),
+        "import-a-directory": (["table", "import", "raw2", "--csv", str(tmp), "--as", "dana"],
+                               tmp),
+        "run-non-utf8": (["run", str(garbled), "--as", "dana"], garbled),
+        "init-policy-non-utf8": (["init", "--policy", str(garbled)], garbled),
+        "policy-non-utf8": (["branch", "list", "--policy", str(garbled)], garbled),
+        "heal-patch-non-utf8": (["heal", "--run", "r", "--patches", str(patches),
+                                 "--as", "dana"], garbled)}[case]
     assert main(["--data-dir", data, *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(named) in err
 
 
 def test_domain_error_json_shape(env, capsys):

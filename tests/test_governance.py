@@ -16,7 +16,6 @@ from lakekernel.governance import (
     check_env,
     format_policy,
     glob_match,
-    load_policy,
     parse_policy,
     permissive_policy,
 )
@@ -188,7 +187,7 @@ def test_load_minimal_policy(tmp_path):
     path = tmp_path / "policy.toml"
     path.write_text('[[role]]\nname = "admin"\npermissions = ["ManagePolicy"]\n'
                     '[[principal]]\nname = "root"\nroles = ["admin"]\n')
-    policy = load_policy(path)
+    policy = parse_policy(path.read_text("utf-8"))
     assert authorize(policy, "root", Permission("ManagePolicy")).allowed
 
 

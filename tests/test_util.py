@@ -1,7 +1,10 @@
 """util.Records, the keyed-record journal behind commits.log, runs.log and
-verifiers.log, and util.decoder, which reads every JSON record back."""
+verifiers.log, and util.decoder, which reads every JSON record back; and a
+stdlib stand-in for a linter's unused-import check over the package."""
+import ast
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -140,3 +143,33 @@ def test_every_persisted_record_reads_back_as_written():
     ]
     for record in records:
         assert decoder(type(record))(json.loads(json.dumps(asdict(record)))) == record
+
+
+def unused_imports(path: Path) -> list[str]:
+    """`path:line name` for each name a top-level import binds that the
+    module never uses. A package's __init__.py re-exports, and an import
+    marked `# noqa: F401` is kept on purpose, so neither is checked."""
+    if path.name == "__init__.py":
+        return []
+    source = path.read_text("utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__" or \
+                any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                unused.append(f"{path}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(__file__).resolve().parents[1] / "src" / "lakekernel"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 20
+    assert [u for m in modules for u in unused_imports(m)] == []
