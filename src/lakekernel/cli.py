@@ -314,7 +314,7 @@ def cmd_heal(ctx: _Ctx) -> int:
     principal = ctx.require_principal()
     kernel = ctx.kernel()
     patches = []
-    for path in sorted(Path(ctx.args.patches).glob("*")):
+    for path in sorted(Path(ctx.args.patches).iterdir()):
         if path.is_file():
             patches.append(parse_pipeline(_read_text(path)))
     agent = healer.BaselineAgent(patches)

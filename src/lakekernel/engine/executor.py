@@ -15,41 +15,29 @@ from .queries import QueryAst
 def execute_plan(plan: QueryPlan, bindings: dict) -> TableData:
     """Run an analyzed query's compiled expressions over bindings, which
     maps input name -> TableData."""
-    from_name = plan.sources[0][0]
-    rows = [(r,) for r in bindings[from_name].rows]
+    rows = bindings[plan.sources[0][0]].rows
 
     if plan.join_cols is not None:
-        join_name = plan.sources[1][0]
-        from_col, join_col = plan.join_cols
+        from_index, join_index = plan.join_cols
         # hash lookup on the join side, emission in (left, right) input order
         index: dict = {}
-        for jrow in bindings[join_name].rows:
-            index.setdefault(jrow[join_col.index], []).append(jrow)
-        joined = []
-        for (lrow,) in rows:
-            for jrow in index.get(lrow[from_col.index], ()):
-                joined.append((lrow, jrow))
-        rows = joined
+        for jrow in bindings[plan.sources[1][0]].rows:
+            index.setdefault(jrow[join_index], []).append(jrow)
+        rows = [lrow + jrow for lrow in rows for jrow in index.get(lrow[from_index], ())]
 
     where = plan.where
     if where is not None:
         rows = [r for r in rows if where(r, None)]
 
-    out_rows = []
     if plan.aggregating:
-        groups: dict = {}
-        if plan.group_keys:
-            for row in rows:
-                key = tuple(row[source][index] for source, index in plan.group_keys)
-                groups.setdefault(key, []).append(row)
-        else:
-            groups[()] = list(rows)
-        for group_rows in groups.values():
-            first = group_rows[0] if group_rows else None
-            out_rows.append(tuple(fn(first, group_rows) for fn in plan.select))
-    else:
+        # a whole-table aggregate is one group, empty when no row is left
+        groups: dict = {} if plan.group_keys else {(): []}
         for row in rows:
-            out_rows.append(tuple(fn(row, None) for fn in plan.select))
+            groups.setdefault(tuple(row[i] for i in plan.group_keys), []).append(row)
+        out_rows = [tuple(fn(group_rows[0] if group_rows else None, group_rows)
+                          for fn in plan.select) for group_rows in groups.values()]
+    else:
+        out_rows = [tuple(fn(row, None) for fn in plan.select) for row in rows]
 
     return TableData(plan.output_schema, tuple(out_rows))
 

@@ -26,27 +26,21 @@ _COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-@dataclass(frozen=True)
-class ResolvedColumn:
-    source: int  # 0 = FROM input, 1 = JOIN input
-    index: int
-    type: str
-
-
 @dataclass
 class QueryPlan:
     """A type-checked query. Each compiled expression is a closure
-    fn(row, group): row is a tuple of per-source tuples, aligned with
-    sources. In an aggregating query, group holds the rows of the current
-    group, row is its first row (None for an empty group), and every bare
-    column is a group key, constant across the group."""
+    fn(row, group): row is one flat tuple, the FROM input's columns then
+    the JOIN input's, and a column is one index into it. In an aggregating
+    query, group holds the rows of the current group, row is its first row
+    (None for an empty group), and every bare column is a group key,
+    constant across the group."""
     sources: tuple[tuple[str, Schema], ...]
     output_schema: Schema
     aggregating: bool
-    join_cols: tuple[ResolvedColumn, ResolvedColumn] | None  # (from side, join side)
+    join_cols: tuple[int, int] | None  # key index in the FROM row, in the JOIN row
     where: Callable | None
     select: tuple[Callable, ...]
-    group_keys: tuple[tuple[int, int], ...]  # (source, index) per GROUP BY column
+    group_keys: tuple[int, ...]  # row index per GROUP BY column
 
 
 def _check_int(value: int) -> int:
@@ -80,17 +74,16 @@ class _Analyzer:
         if ast.join is not None and ast.join.table == ast.source:
             raise QueryTypeError(f"self-join of {ast.source!r} is not supported")
         self.sources = tuple((name, schemas[name]) for name in ast.tables())
+        self.columns = [(name, col, typ) for name, schema in self.sources
+                        for col, typ in schema.columns]
+        self.from_width = len(self.sources[0][1].columns)
 
-    def resolve(self, ref: ColumnRef) -> ResolvedColumn:
-        hits = []
-        for idx, (name, schema) in enumerate(self.sources):
-            if ref.table is not None and ref.table != name:
-                continue
-            for col_idx, (col, typ) in enumerate(schema.columns):
-                if col == ref.name:
-                    hits.append(ResolvedColumn(idx, col_idx, typ))
+    def resolve(self, ref: ColumnRef) -> tuple[int, str]:
+        """The index of ref in a row, and its type."""
         if ref.table is not None and ref.table not in [n for n, _ in self.sources]:
             raise QueryTypeError(f"unknown input qualifier {ref.table!r}")
+        hits = [(index, typ) for index, (name, col, typ) in enumerate(self.columns)
+                if col == ref.name and ref.table in (None, name)]
         if not hits:
             raise QueryTypeError(f"unknown column {_ref_text(ref)!r}")
         if len(hits) > 1:
@@ -104,9 +97,8 @@ class _Analyzer:
             value = node.value
             return node.type, lambda row, group: value
         if isinstance(node, ColumnRef):
-            rc = self.resolve(node)
-            source, index = rc.source, rc.index
-            return rc.type, lambda row, group: row[source][index]
+            index, typ = self.resolve(node)
+            return typ, lambda row, group: row[index]
         if isinstance(node, Aggregate):
             return self.compile_aggregate(node)
         if isinstance(node, NotOp):
@@ -145,17 +137,16 @@ class _Analyzer:
 
     def compile_aggregate(self, node: Aggregate) -> tuple[str, Callable]:
         """An aggregate folds its column over the group."""
-        rc = None if node.column is None else self.resolve(node.column)  # None: count(*)
-        if node.func == "count":
+        index, arg_type = (None, None) if node.column is None else self.resolve(node.column)
+        if node.func == "count":  # count(*) has no column
             return "int64", lambda row, group: len(group)
-        arg_type, source, index = rc.type, rc.source, rc.index
         if node.func in ("sum", "avg") and arg_type not in _NUMERIC:
             raise QueryTypeError(f"{node.func}() needs a numeric column, "
                                  f"got {arg_type}")
         func = node.func
 
         def fold(row, group):
-            values = [r[source][index] for r in group]
+            values = [r[index] for r in group]
             if func == "sum":
                 if arg_type == "float64":
                     return _check_float(reduce(operator.add, values, 0.0))
@@ -207,10 +198,7 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
         if typ != "bool":
             raise QueryTypeError("WHERE predicate must be bool")
 
-    group_keys = []
-    for col in ast.group_by:
-        rc = an.resolve(col)
-        group_keys.append((rc.source, rc.index))
+    group_keys = tuple(an.resolve(col)[0] for col in ast.group_by)
 
     aggregating = bool(ast.group_by) or any(
         _has_aggregate(item.expr) for item in ast.select)
@@ -224,8 +212,7 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
             for ref in _leaves(item.expr):
                 if not isinstance(ref, ColumnRef):
                     continue
-                rc = an.resolve(ref)
-                if (rc.source, rc.index) not in group_keys:
+                if an.resolve(ref)[0] not in group_keys:
                     raise QueryTypeError(
                         f"column {_ref_text(ref)!r} must be grouped or aggregated")
         if item.alias is not None:
@@ -243,20 +230,17 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
     output = Schema(tuple(zip(names, types)))
     return QueryPlan(sources=an.sources, output_schema=output,
                      aggregating=aggregating, join_cols=join_cols, where=where,
-                     select=tuple(select), group_keys=tuple(group_keys))
+                     select=tuple(select), group_keys=group_keys)
 
 
-def _resolve_join(an: _Analyzer, join: JoinClause):
-    left = an.resolve(join.left)
-    right = an.resolve(join.right)
-    if left.source == right.source:
+def _resolve_join(an: _Analyzer, join: JoinClause) -> tuple[int, int]:
+    (left, lt), (right, rt) = an.resolve(join.left), an.resolve(join.right)
+    if (left < an.from_width) == (right < an.from_width):
         raise QueryTypeError("join condition must relate the two inputs")
-    if left.type != right.type and not (left.type in _NUMERIC and right.type in _NUMERIC):
-        raise QueryTypeError(f"join keys of incompatible types "
-                             f"{left.type} and {right.type}")
-    from_side = left if left.source == 0 else right
-    join_side = right if right.source == 1 else left
-    return (from_side, join_side)
+    if lt != rt and not (lt in _NUMERIC and rt in _NUMERIC):
+        raise QueryTypeError(f"join keys of incompatible types {lt} and {rt}")
+    from_index, join_index = sorted((left, right))
+    return from_index, join_index - an.from_width
 
 
 def plan(spec: PipelineSpec, source_schemas: dict) -> dict[str, QueryPlan]:

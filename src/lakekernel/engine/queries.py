@@ -19,6 +19,7 @@ parenthesized sub-expressions) such that parse(format(ast)) == ast.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -134,7 +135,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("string", raw, line, col, raw[1:-1].replace("''", "'")))
         elif kind == "number":
             if m.group("fraction"):
-                tokens.append(_Token("float", raw, line, col, float(raw)))
+                value = float(raw)
+                if not math.isfinite(value):
+                    raise ParseError(f"float literal {raw} is out of range", line, col)
+                tokens.append(_Token("float", raw, line, col, value))
             else:
                 tokens.append(_Token("int", raw, line, col, int(raw)))
         elif kind == "word":

@@ -291,8 +291,11 @@ class Governor:
     def records(self) -> list[AuditRecord]:
         """Every audit record in the file, in seq order; a line that is not
         one is CorruptRecord."""
+        lines: list[bytes] = []
+        Journal(self.audit_path,
+                lambda chunk, offset: lines.extend(chunk.splitlines())).catch_up()
         decode = decoder(AuditRecord)
         try:
-            return [decode(json.loads(line)) for line in self._journal.entries()]
+            return [decode(json.loads(line)) for line in lines]
         except (ValueError, TypeError) as exc:
             raise CorruptRecord(f"{self.audit_path} holds a corrupt record: {exc!r}") from None

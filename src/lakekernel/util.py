@@ -130,14 +130,6 @@ class Journal:
         finally:
             os.close(fd)
 
-    def entries(self) -> list[bytes]:
-        """Every complete line in the file, without its newline."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
-        return data[:data.rfind(b"\n") + 1].splitlines()
-
 
 class Records(Journal):
     """A Journal of `<key> <body>` lines and their key index. `put` appends

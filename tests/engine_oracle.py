@@ -218,10 +218,10 @@ def _value(rng: random.Random, typ: str):
     return rng.choice([True, False])
 
 
-def _make_table(rng: random.Random, prefix: str, forced: list = ()) -> TableData:
-    cols = list(forced)
-    for i in range(rng.randint(1, 3)):
-        cols.append((f"{prefix}{i}", rng.choice(_TYPES)))
+def _make_table(rng: random.Random, prefix: str, key: tuple | None = None) -> TableData:
+    cols = [(f"{prefix}{i}", rng.choice(_TYPES)) for i in range(rng.randint(1, 3))]
+    if key is not None:  # a join key, at a drawn column position
+        cols.insert(rng.randint(0, len(cols)), key)
     n_rows = rng.randint(0, 8)
     rows = [tuple(_value(rng, t) for _, t in cols) for _ in range(n_rows)]
     return TableData(__import__("lakekernel.store", fromlist=["Schema"])
@@ -259,10 +259,12 @@ def gen_query(rng: random.Random):
     with_join = rng.random() < 0.4
     if with_join:
         key_type = rng.choice(["int64", "string"])
-        t = _make_table(rng, "a", [("k", key_type)])
-        u = _make_table(rng, "b", [("j", key_type)])
+        t = _make_table(rng, "a", ("k", key_type))
+        u = _make_table(rng, "b", ("j", key_type))
         bindings = {"t": t, "u": u}
-        join = JoinClause("u", ColumnRef("t", "k"), ColumnRef("u", "j"))
+        keys = [ColumnRef("t", "k"), ColumnRef("u", "j")]
+        rng.shuffle(keys)  # the ON clause may name either side first
+        join = JoinClause("u", *keys)
     else:
         t = _make_table(rng, "a")
         bindings = {"t": t}

@@ -658,7 +658,8 @@ def test_check_refuses_a_file_that_is_not_a_trace(env, capsys, tmp_path):
 
 @pytest.mark.parametrize("case", ["run-a-directory", "import-a-directory",
                                   "run-non-utf8", "init-policy-non-utf8",
-                                  "policy-non-utf8", "heal-patch-non-utf8"])
+                                  "policy-non-utf8", "heal-patch-non-utf8",
+                                  "heal-patches-missing", "heal-patches-a-file"])
 def test_an_input_file_that_cannot_be_read_is_one_error_line(env, capsys, case):
     data, tmp = env["data"], env["tmp"]
     patches = tmp / "patches"
@@ -673,6 +674,10 @@ def test_an_input_file_that_cannot_be_read_is_one_error_line(env, capsys, case):
         "init-policy-non-utf8": (["init", "--policy", str(garbled)], garbled),
         "policy-non-utf8": (["branch", "list", "--policy", str(garbled)], garbled),
         "heal-patch-non-utf8": (["heal", "--run", "r", "--patches", str(patches),
+                                 "--as", "dana"], garbled),
+        "heal-patches-missing": (["heal", "--run", "r", "--patches", str(tmp / "none"),
+                                  "--as", "dana"], tmp / "none"),
+        "heal-patches-a-file": (["heal", "--run", "r", "--patches", str(garbled),
                                  "--as", "dana"], garbled)}[case]
     assert main(["--data-dir", data, *argv]) == 1
     err = capsys.readouterr().err

@@ -72,6 +72,7 @@ def test_parse_precedence():
     "SELECT a FROM t JOIN u", "SELECT a FROM t WHERE", "SELECT a FROM t GROUP",
     "SELECT a FROM t extra", "SELECT 'unterminated FROM t",
     "SELECT a FROM t WHERE x ~ 1", "SELECT a FROM 9t",
+    "SELECT 1e999 AS x FROM t",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
