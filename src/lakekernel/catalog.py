@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import re
+import sys
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -72,7 +73,7 @@ class Commit:
     @staticmethod
     def make(parents, tables, author, message, timestamp) -> "Commit":
         c = Commit("", tuple(parents), dict(tables), author, message, timestamp)
-        return Commit(hashlib.sha256(c.body_json()).hexdigest(),
+        return Commit(sys.intern(hashlib.sha256(c.body_json()).hexdigest()),
                       c.parents, c.tables, author, message, timestamp)
 
     @staticmethod
@@ -110,6 +111,9 @@ FAST_FORWARD = "fast_forward"
 MERGE_COMMIT = "merge_commit"
 CONFLICT = "conflict"
 
+COMMIT_CACHE_SIZE = 256  # full commits kept; the cache is emptied when full
+FIRST_PARENT_STEPS = 32  # how far merge_base's fast path looks down each head
+
 
 def _apply_moves(refs: dict, chunk: bytes, _offset: int) -> None:
     for line in chunk.decode("utf-8").splitlines():
@@ -117,7 +121,7 @@ def _apply_moves(refs: dict, chunk: bytes, _offset: int) -> None:
         if new == "-":
             refs.pop(branch, None)
         else:
-            refs[branch] = new
+            refs[branch] = sys.intern(new)  # the string commits.log's index holds
 
 
 class Catalog:
@@ -130,8 +134,14 @@ class Catalog:
         # the fold holds its dict, not self: no cycle keeps a dropped catalog alive
         self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
         self._commits = Records(self.root / "commits.log")
-        # no lock: a dict get or set is atomic (free-threaded CPython too), a
-        # Commit is immutable, and two threads that miss one id store equal values
+        # The parent graph: commit id -> its parents' ids, for each commit
+        # this catalog wrote or a walk reached. Commit ids are interned where
+        # they are made and read back (the graph, the commits.log index
+        # keys, the refs), so one string per commit serves every holder.
+        # No lock on the graph or on the commit cache: a dict
+        # get, set or clear is atomic (free-threaded CPython too), and two
+        # threads that miss one id store equal values.
+        self._graph: dict[str, tuple[str, ...]] = {}
         self._cache: dict[str, Commit] = {}
 
     # -- bootstrap ----------------------------------------------------------
@@ -216,13 +226,21 @@ class Catalog:
 
     def _write_commit(self, commit: Commit) -> None:
         self._commits.put(commit.id, commit.body_json())
-        self._cache[commit.id] = commit
+        self._link(commit)
+        self._remember(commit)
 
     def get_commit(self, commit_id: str) -> Commit:
         commit = self._cache.get(commit_id)
         if commit is None:
-            commit = self._cache[commit_id] = self._read_commit(commit_id)
+            commit = self._read_commit(commit_id)
+            self._remember(commit)
         return commit
+
+    def _remember(self, commit: Commit) -> None:
+        # threads that race on a full cache may each add one entry past it
+        if len(self._cache) >= COMMIT_CACHE_SIZE:
+            self._cache.clear()
+        self._cache[commit.id] = commit
 
     def _read_commit(self, commit_id: str) -> Commit:
         body = self._commits.get(commit_id)
@@ -266,7 +284,8 @@ class Catalog:
     def walk(self, commit_id: str) -> Iterator[Commit]:
         """The first-parent chain from a resolved commit id, one commit at a
         time. A commit not in the cache is read without being cached, so a
-        walk of the whole history holds one commit."""
+        walk of the whole history holds one commit, where reading through
+        the cache would keep up to COMMIT_CACHE_SIZE of them alive."""
         while True:
             commit = self._cache.get(commit_id)
             if commit is None:
@@ -276,18 +295,50 @@ class Catalog:
                 return
             commit_id = commit.parents[0]
 
+    def _link(self, commit: Commit) -> tuple[str, ...]:
+        """Add the commit to the parent graph; returns its parent ids."""
+        parents = tuple(map(sys.intern, commit.parents))
+        self._graph[sys.intern(commit.id)] = parents
+        return parents
+
+    def _parents(self, commit_id: str) -> tuple[str, ...]:
+        """The commit's parent ids, read from commits.log the first time a
+        walk needs them (a commit this catalog did not write)."""
+        parents = self._graph.get(commit_id)
+        if parents is None:
+            parents = self._link(self._read_commit(commit_id))
+        return parents
+
     def merge_base(self, a: str, b: str) -> str:
         """A lowest common ancestor; ties resolved by greatest timestamp,
         then lexicographically smallest id.
 
-        One breadth-first flag walk in the style of git merge-base, run
-        until no flag changes: a commit reached from both heads and below
-        no LCA found so far is found, and its ancestors are marked DNC, as
-        none of them can be lowest. At the end every ancestor of a found
-        commit carries DNC, so the found commits without it are exactly the
-        maximal common ancestors."""
+        Fast path: if one head is within FIRST_PARENT_STEPS steps down the
+        other's first-parent chain, every common ancestor is an ancestor of
+        it, so it is the only lowest one. A run's publish onto a target that
+        has not moved is this case.
+
+        Otherwise, one breadth-first flag walk in the style of git
+        merge-base over the parent graph, run until no flag changes: a
+        commit reached from both heads and below no LCA found so far is
+        found, and its ancestors are marked DNC, as none of them can be
+        lowest. At the end every ancestor of a found commit carries DNC, so
+        the found commits without it are exactly the maximal common
+        ancestors.
+
+        Both follow the parent graph and read no Commit, except the first
+        time they reach a commit this catalog did not write; the walk then
+        reads only the lowest commits, for the tie-break."""
         if a == b:
             return a
+        for cid, other in ((a, b), (b, a)):
+            for _ in range(FIRST_PARENT_STEPS):
+                parents = self._parents(cid)
+                if not parents:
+                    break
+                cid = parents[0]
+                if cid == other:
+                    return other
         ANC_A, ANC_B, DNC, LCA = 1, 2, 4, 8
         states = {a: ANC_A, b: ANC_B}
         work = deque([a, b])
@@ -300,7 +351,7 @@ class Catalog:
                 found.append(cid)
                 flags |= DNC
             flags &= ~LCA  # the mark stays on the found commit
-            for p in self.get_commit(cid).parents:
+            for p in self._parents(cid):
                 old = states.get(p, 0)
                 if old | flags != old:
                     states[p] = old | flags

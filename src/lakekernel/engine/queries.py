@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..store import IDENT_RE
+from ..store import IDENT_RE, INT64_MAX, INT64_MIN
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 _KEYWORDS = {"select", "from", "join", "on", "where", "group", "by", "as",
@@ -260,7 +260,7 @@ class _Parser:
             num = self.peek()
             if num is not None and num.kind == "int":
                 self.pos += 1
-                return Literal(-num.value, "int64")
+                return self.int_literal(-num.value, tok)
             if num is not None and num.kind == "float":
                 self.pos += 1
                 return Literal(-num.value, "float64")
@@ -278,7 +278,7 @@ class _Parser:
             return inner
         if tok.kind == "int":
             self.pos += 1
-            return Literal(tok.value, "int64")
+            return self.int_literal(tok.value, tok)
         if tok.kind == "float":
             self.pos += 1
             return Literal(tok.value, "float64")
@@ -293,6 +293,14 @@ class _Parser:
                 return self.aggregate()
             return self.column_ref()
         self._fail("expected expression")
+
+    @staticmethod
+    def int_literal(value: int, start: _Token) -> Literal:
+        """An int64 literal, whose sign is known only here: -2**63 fits."""
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise ParseError(f"int literal {value} is out of int64 range",
+                             start.line, start.column)
+        return Literal(value, "int64")
 
     def _lookahead_is_lparen(self) -> bool:
         nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,23 +234,27 @@ class SnapshotStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._objects = self.root / "objects"
-        self._objects.mkdir(parents=True, exist_ok=True)
+        # str paths through os.path: a Path interns the parts it parses, so
+        # one per snapshot name would grow the interned-string table
+        self._objects = os.path.join(self.root, "objects")
+        os.makedirs(self._objects, exist_ok=True)
         self._lock = threading.Lock()
         self._reads = 0
         self._writes = 0
 
-    def _path(self, hex_id: str) -> Path:
-        return self._objects / hex_id[:2] / hex_id[2:]
+    def _path(self, hex_id: str) -> str:
+        return os.path.join(self._objects, hex_id[:2], hex_id[2:])
 
     def put_snapshot(self, table: TableData) -> str:
         data = encode_table(table)
-        hex_id = hashlib.sha256(data).hexdigest()
+        # interned, like commit ids: every commit that maps a table to this
+        # snapshot holds the same string
+        hex_id = sys.intern(hashlib.sha256(data).hexdigest())
         path = self._path(hex_id)
-        if path.exists():
+        if os.path.exists(path):
             return hex_id
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             atomic_write(path, data)
         except OSError as exc:
             raise StorageFailure(f"cannot write snapshot {hex_id}: {exc}") from exc
@@ -259,7 +265,8 @@ class SnapshotStore:
     def get_snapshot(self, hex_id: str) -> TableData:
         path = self._path(hex_id)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as f:
+                data = f.read()
         except FileNotFoundError:
             raise NotFound(f"no snapshot {hex_id}") from None
         except OSError as exc:
@@ -271,7 +278,7 @@ class SnapshotStore:
         return decode_table(data)
 
     def has_snapshot(self, hex_id: str) -> bool:
-        return self._path(hex_id).exists()
+        return os.path.exists(self._path(hex_id))
 
     def io_counters(self) -> tuple[int, int]:
         with self._lock:

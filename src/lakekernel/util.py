@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import os
+import sys
 import threading
 import time
 import uuid
@@ -23,10 +24,14 @@ from typing import get_args, get_origin, get_type_hints
 MASK64 = (1 << 64) - 1
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write data to path via a temp file and atomic rename."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_bytes(data)
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write data to path via a temp file and atomic rename. Works on str
+    paths through os.path, so writing a snapshot builds no Path (which
+    interns the parts it parses)."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)
 
 
@@ -137,7 +142,7 @@ class Records(Journal):
     so the first writer of a key wins; on read, a later line for a key wins."""
 
     def __init__(self, path: Path):
-        self._index: dict[str, tuple[int, int]] = {}  # key -> (body offset, length)
+        self._index: dict[str, int] = {}  # key -> body offset << 32 | body length
         super().__init__(path, partial(_index_bodies, self._index))
 
     def __contains__(self, key: str) -> bool:
@@ -145,7 +150,10 @@ class Records(Journal):
         return key in self._index or self.catch_up(partial(self._index.__contains__, key))
 
     def get(self, key: str) -> bytes | None:
-        return self.read_at(*self._index[key]) if key in self else None
+        if key not in self:
+            return None
+        at = self._index[key]
+        return self.read_at(at >> 32, at & _LENGTH_MASK)
 
     def keys(self) -> list[str]:
         return self.catch_up(lambda: list(self._index))
@@ -158,12 +166,18 @@ class Records(Journal):
         return True
 
 
+_LENGTH_MASK = (1 << 32) - 1
+
+
 def _index_bodies(index: dict, chunk: bytes, offset: int) -> None:
     # the Records fold: a line with no space indexes nothing
     for line in chunk.split(b"\n")[:-1]:
         sep = line.find(b" ")
         if sep >= 0:
-            index[line[:sep].decode("ascii", "replace")] = (offset + sep + 1, len(line) - sep - 1)
+            # one int, not an (offset, length) tuple, per key; the key is
+            # interned, so an owner that interns it too keeps one copy
+            at = (offset + sep + 1) << 32 | (len(line) - sep - 1)
+            index[sys.intern(line[:sep].decode("ascii", "replace"))] = at
         offset += len(line) + 1
 
 

@@ -6,7 +6,16 @@ import threading
 import pytest
 
 from conftest import child_env, count_journal_reads
-from lakekernel.catalog import CONFLICT, DELETE, FAST_FORWARD, MERGE_COMMIT, Catalog
+from lakekernel.catalog import (
+    COMMIT_CACHE_SIZE,
+    CONFLICT,
+    DELETE,
+    FAST_FORWARD,
+    FIRST_PARENT_STEPS,
+    MERGE_COMMIT,
+    Catalog,
+    Commit,
+)
 from lakekernel.errors import (
     BranchExists,
     LakeError,
@@ -486,7 +495,6 @@ def test_log_walk(tmp_path):
     assert [c.message for c in log[:4]] == ["c3", "c2", "c1", "c0"]
 
 
-
 def test_walk_yields_the_log_and_caches_nothing(tmp_path):
     cat, store = make_catalog(tmp_path)
     for i in range(4):
@@ -496,6 +504,22 @@ def test_walk_yields_the_log_and_caches_nothing(tmp_path):
     walk = fresh.walk(fresh.head("main"))
     assert [c.id for c in walk] == [c.id for c in cat.log("main")]
     assert fresh._cache == {}
+
+
+def test_commit_cache_stays_within_its_bound(tmp_path):
+    cat, store = make_catalog(tmp_path)
+    sids = [snap(store, 0), snap(store, 1)]
+    for i in range(COMMIT_CACHE_SIZE + 44):
+        cat.commit_tables("main", {"a": sids[i % 2]}, cat.head("main"), "alice", f"c{i}")
+        assert len(cat._cache) <= COMMIT_CACHE_SIZE
+    log = cat.log("main")
+    fresh = Catalog(tmp_path / "lake", store)
+    sizes = []
+    for commit in log:
+        assert fresh.get_commit(commit.id) == commit
+        sizes.append(len(fresh._cache))
+    assert len(log) > COMMIT_CACHE_SIZE and max(sizes) == COMMIT_CACHE_SIZE
+
 
 def test_log_follows_first_parent_through_merges(tmp_path):
     cat, store = make_catalog(tmp_path)
@@ -595,7 +619,6 @@ def test_merge_base_identity_and_linear(tmp_path):
 def test_merge_base_disjoint_roots(tmp_path):
     store = SnapshotStore(tmp_path / "lake")
     cat = Catalog(tmp_path / "lake", store, StepClock())
-    from lakekernel.catalog import Commit
     r1 = Commit.make([], {}, "x", "root1", 1)
     r2 = Commit.make([], {}, "x", "root2", 2)
     cat._write_commit(r1)
@@ -607,7 +630,6 @@ def test_merge_base_disjoint_roots(tmp_path):
 def _random_dag(cat, store, rng, n_commits):
     """Random commit DAG built through the real API: commits on random
     branches plus occasional cross-branch merge commits."""
-    from lakekernel.catalog import Commit
     ids = [cat.head("main")]
     for i in range(n_commits):
         if len(ids) >= 2 and rng.random() < 0.3:
@@ -626,7 +648,6 @@ def test_merge_base_drops_a_common_ancestor_found_above_a_lower_one(tmp_path):
     depth 1; y, a child of x six commits below both chains, is the LCA. x
     has the later timestamp, so the tie-break alone would pick it."""
     cat, store = make_catalog(tmp_path)
-    from lakekernel.catalog import Commit
 
     def commit(*parents, timestamp=None):
         c = Commit.make(parents, {}, "x", "c", timestamp or cat.clock.now())
@@ -654,6 +675,58 @@ def test_merge_base_matches_oracle_on_random_dags(tmp_path, clock):
         for _ in range(10):
             a, b = rng.choice(ids), rng.choice(ids)
             assert cat.merge_base(a, b) == lca_oracle(cat, a, b), (trial, a, b)
+
+
+def test_first_parent_fast_path_agrees_with_the_oracle(tmp_path):
+    """The fast path's edge cases, each checked against the exhaustive
+    oracle on this catalog and on a fresh one over the same directory."""
+    cat, store = make_catalog(tmp_path)
+
+    def commit(*parents, tables=None):
+        c = Commit.make(parents, tables or {}, "x", "c", cat.clock.now())
+        cat._write_commit(c)
+        return c.id
+
+    root = cat.head("main")
+    base = root
+    for _ in range(2 * FIRST_PARENT_STEPS):  # history that only a walk visits
+        base = commit(base)
+    chain = [commit(base)]  # chain[i] is FIRST_PARENT_STEPS + 1 - i steps below tip
+    for i in range(FIRST_PARENT_STEPS + 1):
+        chain.append(commit(chain[-1], tables={"t": snap(store, i)}))
+    tip = chain[-1]
+    side_tip = commit(commit(chain[0]))
+    # the other head reachable only through a second parent
+    near = commit(side_tip, chain[-2])
+    far = commit(side_tip, chain[1])
+    cases = [
+        (tip, chain[-2]),  # first-parent distance 1
+        (tip, chain[1]),  # distance FIRST_PARENT_STEPS
+        (tip, chain[0]),  # distance FIRST_PARENT_STEPS + 1: the walk decides
+        (near, chain[-2]),
+        (far, chain[1]),
+        (chain[1], tip),  # the source an ancestor of the target
+        (root, tip),
+        (tip, tip),  # identical heads
+        (near, tip),  # neither head on the other's chain
+        (side_tip, near),
+    ]
+    oracle = [lca_oracle(cat, a, b) for a, b in cases]
+    assert oracle[:3] == [chain[-2], chain[1], chain[0]]
+    assert oracle[5:8] == [chain[1], root, tip]
+    warm = [cat.merge_base(a, b) for a, b in cases]
+    fresh = Catalog(tmp_path / "lake", store, StepClock())
+    cold = [fresh.merge_base(a, b) for a, b in cases]
+    assert warm == cold == oracle
+
+    # within the steps, from either head, the fast path answers with no walk
+    parents = cat._parents
+    calls = []
+    cat._parents = lambda cid: calls.append(cid) or parents(cid)
+    for (a, b), fast in zip(cases[:3] + cases[5:6], (True, True, False, True)):
+        calls.clear()
+        cat.merge_base(a, b)
+        assert (len(calls) <= 2 * FIRST_PARENT_STEPS) == fast, (a, b, len(calls))
 
 
 def test_threads_on_a_cold_catalog_read_what_one_thread_reads(tmp_path):

@@ -49,12 +49,15 @@ def test_parse_where_group_by():
 
 
 def test_parse_literals():
-    ast = parse_query("SELECT 1 + 2.5 AS x, 'it''s' AS s, true AS b, -7 AS n FROM t")
+    ast = parse_query("SELECT 1 + 2.5 AS x, 'it''s' AS s, true AS b, -7 AS n, "
+                      "-9223372036854775808 AS lo, 9223372036854775807 AS hi FROM t")
     assert ast.select[0].expr == BinaryOp("+", Literal(1, "int64"),
                                           Literal(2.5, "float64"))
     assert ast.select[1].expr == Literal("it's", "string")
     assert ast.select[2].expr == Literal(True, "bool")
     assert ast.select[3].expr == Literal(-7, "int64")
+    assert ast.select[4].expr == Literal(-(1 << 63), "int64")  # the int64 bounds
+    assert ast.select[5].expr == Literal((1 << 63) - 1, "int64")
 
 
 def test_parse_precedence():
@@ -97,6 +100,14 @@ def test_parse_error_carries_location():
     ("SELECT 'e''", "unterminated string literal", 1, 8),
     ("SELECT a\n  FROM t @", "unexpected character '@'", 2, 10),
     ("SELECT a FROM t\n\r\t!", "unexpected character '!'", 2, 3),
+    ("SELECT 99999999999999999999 AS x FROM t",
+     "int literal 99999999999999999999 is out of int64 range", 1, 8),
+    ("SELECT a FROM t\nWHERE a < 99999999999999999999",
+     "int literal 99999999999999999999 is out of int64 range", 2, 11),
+    ("SELECT a FROM t WHERE a > -9223372036854775809",
+     "int literal -9223372036854775809 is out of int64 range", 1, 27),
+    ("SELECT 9223372036854775808 AS x FROM t",
+     "int literal 9223372036854775808 is out of int64 range", 1, 8),
 ])
 def test_tokenizer_error_positions(text, message, line, column):
     with pytest.raises(ParseError) as exc:
