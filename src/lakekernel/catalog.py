@@ -35,12 +35,11 @@ from .errors import (
     UnknownSnapshot,
     UnknownTable,
 )
-from .store import SnapshotStore, TableData
+from .store import HEX_ID_RE as _HEX_RE, SnapshotStore, TableData
 from .util import Journal, Records, SystemClock, decoder
 from .util import atomic_write  # noqa: F401  unused here; perfbench wraps catalog.atomic_write
 
 _BRANCH_RE = re.compile(r"[a-z0-9_/.\-]+")
-_HEX_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class _Delete:
@@ -115,13 +114,16 @@ COMMIT_CACHE_SIZE = 256  # full commits kept; the cache is emptied when full
 FIRST_PARENT_STEPS = 32  # how far merge_base's fast path looks down each head
 
 
-def _apply_moves(refs: dict, chunk: bytes, _offset: int) -> None:
-    for line in chunk.decode("utf-8").splitlines():
-        _old, new, branch = line.split(" ", 2)
-        if new == "-":
-            refs.pop(branch, None)
-        else:
-            refs[branch] = sys.intern(new)  # the string commits.log's index holds
+def _apply_moves(refs: dict, journal: Path, chunk: bytes, _offset: int) -> None:
+    try:
+        for line in chunk.decode("utf-8").splitlines():
+            _old, new, branch = line.split(" ")
+            if new == "-":
+                refs.pop(branch, None)
+            else:
+                refs[branch] = sys.intern(new)  # the string commits.log's index holds
+    except ValueError as exc:  # not three fields, or not UTF-8
+        raise CorruptRecord(f"{journal} holds a corrupt ref move: {exc}") from None
 
 
 class Catalog:
@@ -132,7 +134,8 @@ class Catalog:
         self._refs: dict[str, str] = {}
         self._refs_view = MappingProxyType(self._refs)
         # the fold holds its dict, not self: no cycle keeps a dropped catalog alive
-        self._journal = Journal(self.root / "refs.log", partial(_apply_moves, self._refs))
+        refs_log = self.root / "refs.log"
+        self._journal = Journal(refs_log, partial(_apply_moves, self._refs, refs_log))
         self._commits = Records(self.root / "commits.log")
         # The parent graph: commit id -> its parents' ids, for each commit
         # this catalog wrote or a walk reached. Commit ids are interned where

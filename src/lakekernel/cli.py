@@ -43,9 +43,9 @@ class _Ctx:
 
     def kernel(self) -> LakeKernel:
         if self._kernel is None:
+            # only init writes the policy: no caller picks the one that judges them
             policy = governance.EMPTY_POLICY
-            path = Path(self.args.policy) if self.args.policy else \
-                self.data_dir / "policy.toml"
+            path = self.data_dir / "policy.toml"
             if path.exists():
                 policy = governance.parse_policy(_read_text(path))
             self._kernel = LakeKernel(self.data_dir, policy=policy)
@@ -350,8 +350,7 @@ def cmd_approve(ctx: _Ctx) -> int:
 
 # --- argument wiring ------------------------------------------------------------
 
-_GLOBAL_DEFAULTS = {"data_dir": DEFAULT_DATA_DIR, "policy": None,
-                    "principal": None, "json": False}
+_GLOBAL_DEFAULTS = {"data_dir": DEFAULT_DATA_DIR, "principal": None, "json": False}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -359,8 +358,6 @@ def _common_flags() -> argparse.ArgumentParser:
     # subcommand; main() fills in the defaults afterwards
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data-dir", default=argparse.SUPPRESS)
-    common.add_argument("--policy", default=argparse.SUPPRESS,
-                        help="policy.toml path")
     common.add_argument("--as", dest="principal", default=argparse.SUPPRESS,
                         help="acting principal (or LAKE_PRINCIPAL env)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -375,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name):
         return sub.add_parser(name, parents=[common])
 
-    add_parser("init").set_defaults(fn=cmd_init)
+    p = add_parser("init")
+    p.add_argument("--policy", help="policy.toml to install as <data-dir>/policy.toml")
+    p.set_defaults(fn=cmd_init)
 
     p = add_parser("branch")
     p.add_argument("action", choices=["create", "list", "delete"])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 from ..errors import EvalError, QueryTypeError, UnknownInput
@@ -28,19 +27,21 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 @dataclass
 class QueryPlan:
-    """A type-checked query. Each compiled expression is a closure
-    fn(row, group): row is one flat tuple, the FROM input's columns then
-    the JOIN input's, and a column is one index into it. In an aggregating
-    query, group holds the rows of the current group, row is its first row
-    (None for an empty group), and every bare column is a group key,
-    constant across the group."""
+    """A type-checked query. Each compiled expression is a closure fn(row)
+    over one flat tuple, the FROM input's columns then the JOIN input's; a
+    column is one index into it. An aggregate is a fold (index, step): its
+    accumulator starts at the group's first value at `index` and takes
+    step(acc, value) for each later one (COUNT has no step). With GROUP BY or
+    an aggregate, select runs once per group, over the group's first row,
+    then its row count, then one accumulator per fold; each bare column there
+    is a group key, constant across the group."""
     sources: tuple[tuple[str, Schema], ...]
     output_schema: Schema
-    aggregating: bool
     join_cols: tuple[int, int] | None  # key index in the FROM row, in the JOIN row
     where: Callable | None
     select: tuple[Callable, ...]
     group_keys: tuple[int, ...]  # row index per GROUP BY column
+    folds: tuple[tuple[int, Callable | None], ...]
 
 
 def _check_int(value: int) -> int:
@@ -77,6 +78,8 @@ class _Analyzer:
         self.columns = [(name, col, typ) for name, schema in self.sources
                         for col, typ in schema.columns]
         self.from_width = len(self.sources[0][1].columns)
+        self.folds: list | None = None  # None while WHERE compiles
+        self.bare: list[tuple[ColumnRef, int]] = []  # each column compiled, and its index
 
     def resolve(self, ref: ColumnRef) -> tuple[int, str]:
         """The index of ref in a row, and its type."""
@@ -91,21 +94,22 @@ class _Analyzer:
         return hits[0]
 
     def compile(self, node) -> tuple[str, Callable]:
-        """The static type of node and a closure fn(row, group) computing
-        its value (see QueryPlan)."""
+        """The static type of node and a closure fn(row) computing its value
+        (see QueryPlan)."""
         if isinstance(node, Literal):
             value = node.value
-            return node.type, lambda row, group: value
+            return node.type, lambda row: value
         if isinstance(node, ColumnRef):
             index, typ = self.resolve(node)
-            return typ, lambda row, group: row[index]
+            self.bare.append((node, index))
+            return typ, operator.itemgetter(index)
         if isinstance(node, Aggregate):
             return self.compile_aggregate(node)
         if isinstance(node, NotOp):
             typ, operand = self.compile(node.operand)
             if typ != "bool":
                 raise QueryTypeError("NOT needs a bool operand")
-            return "bool", lambda row, group: not operand(row, group)
+            return "bool", lambda row: not operand(row)
         if isinstance(node, BinaryOp):
             lt, left = self.compile(node.left)
             rt, right = self.compile(node.right)
@@ -114,14 +118,14 @@ class _Analyzer:
                     raise QueryTypeError(f"{node.op.upper()} needs bool operands, "
                                          f"got {lt} and {rt}")
                 if node.op == "and":
-                    return "bool", lambda row, group: left(row, group) and right(row, group)
-                return "bool", lambda row, group: left(row, group) or right(row, group)
+                    return "bool", lambda row: left(row) and right(row)
+                return "bool", lambda row: left(row) or right(row)
             if node.op in _COMPARISONS:
                 both_numeric = lt in _NUMERIC and rt in _NUMERIC
                 if not both_numeric and lt != rt:
                     raise QueryTypeError(f"cannot compare {lt} with {rt}")
                 compare = _COMPARISONS[node.op]
-                return "bool", lambda row, group: compare(left(row, group), right(row, group))
+                return "bool", lambda row: compare(left(row), right(row))
             # + - * /
             if lt not in _NUMERIC or rt not in _NUMERIC:
                 raise QueryTypeError(f"arithmetic needs numeric operands, "
@@ -129,51 +133,45 @@ class _Analyzer:
             as_float = "float64" in (lt, rt)
             arith = _divide(as_float) if node.op == "/" else _ARITHMETIC[node.op]
             if as_float:
-                return "float64", lambda row, group: _check_float(
-                    float(arith(left(row, group), right(row, group))))
-            return "int64", lambda row, group: _check_int(
-                arith(left(row, group), right(row, group)))
+                return "float64", lambda row: _check_float(float(arith(left(row), right(row))))
+            return "int64", lambda row: _check_int(arith(left(row), right(row)))
         raise QueryTypeError(f"unexpected expression node {node!r}")
 
     def compile_aggregate(self, node: Aggregate) -> tuple[str, Callable]:
-        """An aggregate folds its column over the group."""
+        """A fold in self.folds, finished only when read: AND and OR short-circuit."""
+        if self.folds is None:
+            raise QueryTypeError("aggregates are not allowed in WHERE")
         index, arg_type = (None, None) if node.column is None else self.resolve(node.column)
-        if node.func == "count":  # count(*) has no column
-            return "int64", lambda row, group: len(group)
-        if node.func in ("sum", "avg") and arg_type not in _NUMERIC:
-            raise QueryTypeError(f"{node.func}() needs a numeric column, "
-                                 f"got {arg_type}")
         func = node.func
-
-        def fold(row, group):
-            values = [r[index] for r in group]
-            if func == "sum":
-                if arg_type == "float64":
-                    return _check_float(reduce(operator.add, values, 0.0))
-                return _check_int(sum(values))
-            if not values:
-                raise EvalError(f"{func}() over zero rows")
-            if func == "avg":
-                return _check_float(float(sum(values)) / len(values))
-            return min(values) if func == "min" else max(values)
-
-        return ("float64" if func == "avg" else arg_type), fold
+        if func in ("sum", "avg") and arg_type not in _NUMERIC:
+            raise QueryTypeError(f"{func}() needs a numeric column, got {arg_type}")
+        final, rows = _final(func, arg_type), len(self.columns)  # the count follows the row
+        acc = rows + 1 + len(self.folds)
+        # count(*) reads column 0 for an accumulator it never steps or reads
+        self.folds.append((index or 0, _STEPS.get(func)))
+        typ = {"count": "int64", "avg": "float64"}.get(func, arg_type)
+        return typ, lambda row: final(row[acc], row[rows])
 
 
-def _leaves(node):
-    """The literals, column refs and aggregates of an expression, left to
-    right; an aggregate's own column is not yielded."""
-    if isinstance(node, BinaryOp):
-        yield from _leaves(node.left)
-        yield from _leaves(node.right)
-    elif isinstance(node, NotOp):
-        yield from _leaves(node.operand)
-    else:
-        yield node
+# SUM and AVG fold left in row order, so no interpreter's sum() decides a value;
+# COUNT has no step
+_STEPS = {"sum": operator.add, "avg": operator.add, "min": min, "max": max}
 
 
-def _has_aggregate(node) -> bool:
-    return any(isinstance(leaf, Aggregate) for leaf in _leaves(node))
+def _final(func: str, arg_type: str | None) -> Callable:
+    """An aggregate's value from its accumulator over `rows` rows. A sum adds
+    its accumulator to zero, as a fold from zero would: a sum of -0.0s is 0.0."""
+    if func == "count":
+        return lambda acc, rows: rows
+    if func == "sum":
+        zero, check = (0.0, _check_float) if arg_type == "float64" else (0, _check_int)
+        return lambda acc, rows: check(zero + acc) if rows else zero
+
+    def final(acc, rows):
+        if not rows:
+            raise EvalError(f"{func}() over zero rows")
+        return _check_float((0.0 + acc) / rows) if func == "avg" else acc
+    return final
 
 
 def _ref_text(ref: ColumnRef) -> str:
@@ -186,51 +184,40 @@ def analyze_query(ast: QueryAst, schemas: dict) -> QueryPlan:
     name -> Schema."""
     an = _Analyzer(ast, schemas)
 
-    join_cols = None
-    if ast.join is not None:
-        join_cols = _resolve_join(an, ast.join)
+    join_cols = None if ast.join is None else _resolve_join(an, ast.join)
 
     where = None
     if ast.where is not None:
-        if _has_aggregate(ast.where):
-            raise QueryTypeError("aggregates are not allowed in WHERE")
         typ, where = an.compile(ast.where)
         if typ != "bool":
             raise QueryTypeError("WHERE predicate must be bool")
+    an.folds, an.bare = [], []
 
     group_keys = tuple(an.resolve(col)[0] for col in ast.group_by)
 
-    aggregating = bool(ast.group_by) or any(
-        _has_aggregate(item.expr) for item in ast.select)
-
-    names = []
-    types = []
+    columns: dict[str, str] = {}  # output name -> type
     select = []
     for item in ast.select:
         typ, fn = an.compile(item.expr)
-        if aggregating:
-            for ref in _leaves(item.expr):
-                if not isinstance(ref, ColumnRef):
-                    continue
-                if an.resolve(ref)[0] not in group_keys:
-                    raise QueryTypeError(
-                        f"column {_ref_text(ref)!r} must be grouped or aggregated")
         if item.alias is not None:
             name = item.alias
         elif isinstance(item.expr, ColumnRef):
             name = item.expr.name
         else:
             raise QueryTypeError("computed select item needs an AS alias")
-        if name in names:
+        if name in columns:
             raise QueryTypeError(f"duplicate output column {name!r}")
-        names.append(name)
-        types.append(typ)
+        columns[name] = typ
         select.append(fn)
+    ungrouped = [ref for ref, index in an.bare if index not in group_keys]
+    if ungrouped and (group_keys or an.folds):
+        raise QueryTypeError(
+            f"column {_ref_text(ungrouped[0])!r} must be grouped or aggregated")
 
-    output = Schema(tuple(zip(names, types)))
-    return QueryPlan(sources=an.sources, output_schema=output,
-                     aggregating=aggregating, join_cols=join_cols, where=where,
-                     select=tuple(select), group_keys=group_keys)
+    output = Schema(tuple(columns.items()))
+    return QueryPlan(sources=an.sources, output_schema=output, join_cols=join_cols,
+                     where=where, select=tuple(select), group_keys=group_keys,
+                     folds=tuple(an.folds))
 
 
 def _resolve_join(an: _Analyzer, join: JoinClause) -> tuple[int, int]:

@@ -25,6 +25,7 @@ from .util import atomic_write
 
 COLUMN_TYPES = ("int64", "float64", "string", "bool")
 IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*")  # a column name is a query identifier
+HEX_ID_RE = re.compile(r"[0-9a-f]{64}")  # a snapshot or commit id: a SHA-256 hex digest
 # One field, then its terminator. The (?!") keeps backtracking from closing
 # a quoted section on the first half of a "" pair. No repeated group holds a
 # `+`, which would backtrack exponentially on a failing tail.
@@ -263,6 +264,8 @@ class SnapshotStore:
         return hex_id
 
     def get_snapshot(self, hex_id: str) -> TableData:
+        if not HEX_ID_RE.fullmatch(hex_id):  # no other id names a file under objects/
+            raise NotFound(f"no snapshot {hex_id}")
         path = self._path(hex_id)
         try:
             with open(path, "rb") as f:
@@ -278,7 +281,7 @@ class SnapshotStore:
         return decode_table(data)
 
     def has_snapshot(self, hex_id: str) -> bool:
-        return os.path.exists(self._path(hex_id))
+        return bool(HEX_ID_RE.fullmatch(hex_id)) and os.path.exists(self._path(hex_id))
 
     def io_counters(self) -> tuple[int, int]:
         with self._lock:

@@ -311,10 +311,5 @@ class DeterministicIds:
         with self._lock:
             hi = self._rng.next_u64()
             lo = self._rng.next_u64()
-        raw = (hi << 64) | lo
-        # stamp version 4 / variant 10 bits so the string is a valid UUIDv4
-        raw &= ~(0xF << 76) & (1 << 128) - 1
-        raw |= 0x4 << 76
-        raw &= ~(0x3 << 62) & (1 << 128) - 1
-        raw |= 0x2 << 62
-        return str(uuid.UUID(int=raw))
+        # version=4 stamps the version 4 / variant 10 bits of a valid UUIDv4
+        return str(uuid.UUID(int=(hi << 64) | lo, version=4))

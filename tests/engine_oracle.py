@@ -85,8 +85,8 @@ def _eval_agg(agg: Aggregate, rows: list):
         return total
     if not values:
         raise OracleEvalError(f"{agg.func} over zero rows")
-    if agg.func == "avg":
-        return float(sum(values)) / len(values)
+    if agg.func == "avg":  # a left fold, as SUM is: not sum(), compensated since 3.12
+        return float(_eval_agg(Aggregate("sum", agg.column), rows)) / len(values)
     return min(values) if agg.func == "min" else max(values)
 
 

@@ -76,6 +76,21 @@ def test_commit_unknown_snapshot(tmp_path):
         cat.commit_tables("main", {"a": "0" * 64}, cat.head("main"), "alice", "x")
 
 
+def test_commit_of_a_path_that_is_no_snapshot_id_is_refused(tmp_path):
+    """The store decides what an id is: a path to an existing file, or an
+    existing snapshot's id in upper case, is no snapshot."""
+    cat, store = make_catalog(tmp_path)
+    outside = tmp_path / "outside"
+    outside.write_bytes(b"x")
+    head = cat.head("main")
+    # "xx" names the objects/ subdirectory, the rest an absolute path
+    for bad in ("xx" + str(outside), "../" * 12 + str(outside)[1:], snap(store, 1).upper()):
+        assert not store.has_snapshot(bad)
+        with pytest.raises(UnknownSnapshot):
+            cat.commit_tables("main", {"a": bad}, head, "alice", "x")
+    assert cat.head("main") == head
+
+
 def test_delete_table_and_delete_of_absent(tmp_path):
     cat, store = make_catalog(tmp_path)
     s1 = snap(store, 1)

@@ -101,6 +101,36 @@ def test_mutating_command_requires_principal(env):
     assert exc.value.code == 2
 
 
+EVIL_POLICY = """\
+whitelist = []
+[[role]]
+name = "root"
+permissions = ["CreateBranch:*"]
+[[principal]]
+name = "intern"
+roles = ["root"]
+"""
+
+
+@pytest.mark.parametrize("place", ["before-command", "after-command"])
+def test_no_caller_picks_the_policy_that_judges_them(env, capsys, place):
+    """Only init installs a policy: `--policy` on any other command is a
+    usage error, so a principal granted only ReadTable cannot bring a
+    policy that grants them CreateBranch."""
+    evil = env["tmp"] / "evil.toml"
+    evil.write_text(EVIL_POLICY)
+    create = ["branch", "create", "evil", "--as", "intern"]
+    code, body = run_json(capsys, ["--data-dir", env["data"], *create])
+    assert (code, body["error"]) == (1, "Denied")
+    flag = ["--policy", str(evil)]
+    argv = [*flag, *create] if place == "before-command" else [*create, *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(["--data-dir", env["data"], *argv])
+    assert exc.value.code == 2
+    code, body = run_json(capsys, ["--data-dir", env["data"], "branch", "list"])
+    assert code == 0 and "evil" not in body["branches"]
+
+
 @pytest.mark.parametrize("action", ["create", "delete"])
 def test_branch_create_and_delete_without_a_name_are_usage_errors(env, capsys, action):
     with pytest.raises(SystemExit) as exc:
@@ -447,6 +477,18 @@ def test_a_misshapen_commit_body_is_corrupt(env, capsys):
         assert commit_id in out["reason"]
 
 
+@pytest.mark.parametrize("bad", [b"garbage\n", b"\n", b"- \xff main\n", b"- a b c\n"],
+                         ids=["one-field", "empty", "non-utf8", "four-fields"])
+def test_a_malformed_refs_log_line_is_one_corrupt_record_line(env, capsys, bad):
+    path = Path(env["data"]) / "refs.log"
+    with open(path, "ab") as f:
+        f.write(bad)
+    assert main(["--data-dir", env["data"], "branch", "list"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CorruptRecord: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_a_commit_body_under_another_commits_id_is_corrupt(env, capsys):
     """A body that does not hash to its line's id is CorruptRecord: neither
     a misshapen body under main's head id nor a whole commit's body under
@@ -666,13 +708,15 @@ def test_an_input_file_that_cannot_be_read_is_one_error_line(env, capsys, case):
     patches.mkdir()
     garbled = patches / "garbled"
     garbled.write_bytes(b"\xff\xfe")
+    if case == "policy-non-utf8":
+        (Path(data) / "policy.toml").write_bytes(b"\xff\xfe")
     argv, named = {
         "run-a-directory": (["run", str(tmp), "--as", "dana"], tmp),
         "import-a-directory": (["table", "import", "raw2", "--csv", str(tmp), "--as", "dana"],
                                tmp),
         "run-non-utf8": (["run", str(garbled), "--as", "dana"], garbled),
         "init-policy-non-utf8": (["init", "--policy", str(garbled)], garbled),
-        "policy-non-utf8": (["branch", "list", "--policy", str(garbled)], garbled),
+        "policy-non-utf8": (["branch", "list"], Path(data) / "policy.toml"),
         "heal-patch-non-utf8": (["heal", "--run", "r", "--patches", str(patches),
                                  "--as", "dana"], garbled),
         "heal-patches-missing": (["heal", "--run", "r", "--patches", str(tmp / "none"),

@@ -1,7 +1,10 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
+from conftest import child_env
 from engine_oracle import OracleEvalError, gen_query, oracle_execute
 from lakekernel.engine import (
     Aggregate,
@@ -259,6 +262,9 @@ def test_whole_table_aggregates_on_empty_input():
                          {"t": t}).rows == ((0,),)
     assert execute_query(parse_query("SELECT sum(a) AS s FROM t"),
                          {"t": t}).rows == ((0,),)
+    out = execute_query(parse_query("SELECT sum(v) AS s FROM t"),
+                        {"t": table(["v:float64"], [])})
+    assert out.rows == ((0.0,),) and isinstance(out.rows[0][0], float)
     with pytest.raises(EvalError):
         execute_query(parse_query("SELECT avg(a) AS m FROM t"), {"t": t})
     with pytest.raises(EvalError):
@@ -277,6 +283,7 @@ def test_whole_table_aggregates_on_empty_input():
     "SELECT v / 2 AS x FROM t",
     "SELECT g, sum(v) + 0.5 AS s FROM t GROUP BY g",
     "SELECT avg(v) * 2 AS m FROM t",
+    "SELECT false AND min(v) > 0 AS ok, count(*) AS n FROM t",
 ])
 def test_nested_aggregates_match_oracle(sql, rows):
     ast = parse_query(sql)
@@ -290,6 +297,45 @@ def test_nested_aggregates_match_oracle(sql, rows):
     out = execute_query(ast, bindings)
     assert out.schema.names() == names
     assert list(out.rows) == expected
+
+
+def test_sum_and_avg_fold_left_in_row_order():
+    """Python 3.12 made sum() compensated; a left fold gives the same bytes
+    on every interpreter."""
+    t = table(["v:float64"], [(0.1,)] * 10)
+    out = execute_query(parse_query("SELECT avg(v) AS m, sum(v) AS s FROM t"), {"t": t})
+    assert out.rows == ((0.09999999999999999, 0.9999999999999999),)
+
+
+_JOIN_PEAK_RSS = r"""
+import resource, sys
+from lakekernel.engine import execute_query, parse_query
+from lakekernel.store import TableData
+
+n, sql = int(sys.argv[1]), sys.argv[2]
+a = TableData.build(["k:int64", "x:int64"], [(0, -i - 1) for i in range(n)])
+b = TableData.build(["k:int64", "y:float64"], [(0, i * 0.5) for i in range(n)])
+execute_query(parse_query(sql), {"a": a, "b": b})
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+"""
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(*) AS c FROM a JOIN b ON a.k = b.k WHERE a.x < 0",
+    "SELECT a.k AS k, COUNT(*) AS c, SUM(x) AS s, AVG(y) AS m, MAX(y) AS top "
+    "FROM a JOIN b ON a.k = b.k GROUP BY a.k",
+], ids=["count", "grouped"])
+def test_an_aggregate_over_a_join_holds_its_groups_not_the_joined_rows(sql):
+    """Every row shares one key, so the join has n * n rows: 4M at n = 2000,
+    16 times as many as at n = 500. The peak RSS of a child process that
+    runs the query must not grow with them."""
+    def peak_mb(n: int) -> float:
+        proc = subprocess.run([sys.executable, "-c", _JOIN_PEAK_RSS, str(n), sql],
+                              capture_output=True, text=True, env=child_env(), check=True)
+        return int(proc.stdout) / 1024
+
+    small, large = peak_mb(500), peak_mb(2000)
+    assert large - small < 5, f"peak RSS {small:.1f} MB at n = 500, {large:.1f} MB at 2000"
 
 
 def test_group_by_on_empty_input_yields_no_groups():
