@@ -13,7 +13,7 @@ from ..runner import FAILED_OPEN, MERGED, RunOptions
 from ..store import TableData
 from ..util import DeterministicIds, FixedClock
 from .checkers import check_isolation
-from .trace import Trace, TraceRecorder, published_delta
+from .trace import Trace, TraceRecorder, published_delta, served
 
 TWO_NODE_PIPELINE = """\
 pipeline two_node
@@ -46,8 +46,17 @@ def _commit_table(kernel, branch, name, table, author) -> str:
     return sid
 
 
-def _register_head(kernel, recorder, ref="main") -> str:
-    head = kernel.catalog.head(ref)
+def _read(kernel, recorder, session, tables) -> tuple[list, list]:
+    """Register the session's pin and read `tables` there as `reader`:
+    returns the tables served and the read group to record."""
+    recorder.register_commit(session.pinned, kernel.catalog.table_map(session.pinned))
+    data = [kernel.read_table(session, t, "reader") for t in tables]
+    return data, [served(t, d) for t, d in zip(tables, data)]
+
+
+def _register_head(kernel, recorder) -> str:
+    """Register main's head: the naive runner's unpinned reader may see it."""
+    head = kernel.catalog.head("main")
     recorder.register_commit(head, kernel.catalog.table_map(head))
     return head
 
@@ -60,31 +69,22 @@ def scenario_pinned_read(data_dir) -> tuple[Trace, bool]:
     _commit_table(kernel, "main", "balances",
                   TableData.build(["account:string", "amount:int64"], [("b", 500)]),
                   "writer")
-    initial = _register_head(kernel, recorder)
-    initial_map = kernel.catalog.table_map(initial)
-
     session = kernel.open_session("main")  # pinned while the update lands
+    initial_map = kernel.catalog.table_map(session.pinned)
     _commit_table(kernel, "main", "balances",
                   TableData.build(["account:string", "amount:int64"], [("b", 300)]),
                   "writer")
-    final = _register_head(kernel, recorder)
 
-    pinned_value = kernel.read_table(session, "balances", "reader").rows[0][1]
-    recorder.record(0, "pinned_read", {
-        "pinned": session.pinned,
-        "reads": [["balances", kernel.catalog.get_commit(session.pinned)
-                   .tables["balances"]]],
-        "value": pinned_value,
-    })
+    (pinned,), reads = _read(kernel, recorder, session, ["balances"])
+    pinned_value = pinned.rows[0][1]
+    recorder.record(0, "pinned_read", {"pinned": session.pinned, "reads": reads,
+                                       "value": pinned_value})
     live = kernel.open_session("main")
-    live_value = kernel.read_table(live, "balances", "reader").rows[0][1]
-    recorder.record(0, "live_read", {
-        "pinned": live.pinned,
-        "reads": [["balances", kernel.catalog.get_commit(live.pinned)
-                   .tables["balances"]]],
-        "value": live_value,
-    })
-    trace = recorder.finish(initial_map, kernel.catalog.table_map(final))
+    (current,), reads = _read(kernel, recorder, live, ["balances"])
+    live_value = current.rows[0][1]
+    recorder.record(0, "live_read", {"pinned": live.pinned, "reads": reads,
+                                     "value": live_value})
+    trace = recorder.finish(initial_map, kernel.catalog.table_map(live.pinned))
     return trace, pinned_value == 500 and live_value == 300
 
 
@@ -109,13 +109,12 @@ def _transactional_variant(data_dir) -> tuple[Trace, bool]:
     recorder = TraceRecorder({"scenario": "atomic_publication",
                              "variant": "transactional"}, "main")
     _commit_table(kernel, "main", "raw", _raw_table(10), "runner1")
-    initial = _register_head(kernel, recorder)
-    initial_map = kernel.catalog.table_map(initial)
 
     # success path: one ref move publishes table_a and table_b together
     head_before = kernel.catalog.head("main")
+    initial_map = kernel.catalog.table_map(head_before)
     report1 = kernel.run(TWO_NODE_PIPELINE, "main", RunOptions(principal="runner1"))
-    head_after = _register_head(kernel, recorder)
+    head_after = kernel.catalog.head("main")
     recorder.record(0, "run_success", {
         "outcome": report1.outcome.kind, "head_before": head_before,
         "head_after": head_after,
@@ -126,14 +125,12 @@ def _transactional_variant(data_dir) -> tuple[Trace, bool]:
         == {("table_a", "Added"), ("table_b", "Added")})
 
     session = kernel.open_session("main")
-    scan_map = kernel.catalog.table_map(session.pinned)
-    recorder.record(1, "read_session_scan", {
-        "pinned": session.pinned,
-        "reads": [[t, scan_map[t]] for t in ("table_a", "table_b")]})
+    _, reads = _read(kernel, recorder, session, ["table_a", "table_b"])
+    recorder.record(1, "read_session_scan", {"pinned": session.pinned, "reads": reads})
 
     # failure path: injected crash after table_a leaves main untouched
     _commit_table(kernel, "main", "raw", _raw_table(20), "runner1")
-    fault_head_before = _register_head(kernel, recorder)
+    fault_head_before = kernel.catalog.head("main")
     report2 = kernel.run(TWO_NODE_PIPELINE, "main",
                          RunOptions(principal="runner1", fail_after="table_a"))
     fault_head_after = kernel.catalog.head("main")
@@ -197,17 +194,17 @@ def _naive_variant(data_dir) -> tuple[Trace, bool]:
     _register_head(kernel, recorder)
     _naive_run(kernel, TWO_NODE_PIPELINE, "runner2", recorder, 0,
                fail_after="table_a")
-    torn_head = _register_head(kernel, recorder)
+    _register_head(kernel, recorder)
 
-    # reader joins table_a with table_b across an intervening repair run
-    read_a = kernel.catalog.get_commit(torn_head).tables["table_a"]
+    # reader joins table_a with table_b across an intervening repair run,
+    # reading each at main's head of the moment
+    _, (read_a,) = _read(kernel, recorder, kernel.open_session("main"), ["table_a"])
     _commit_table(kernel, "main", "raw", _raw_table(30), "runner2")
     _register_head(kernel, recorder)
     _naive_run(kernel, TWO_NODE_PIPELINE, "runner2", recorder, 0)
     final = _register_head(kernel, recorder)
-    read_b = kernel.catalog.get_commit(final).tables["table_b"]
-    recorder.record(1, "naive_read_group", {
-        "reads": [["table_a", read_a], ["table_b", read_b]]})
+    _, (read_b,) = _read(kernel, recorder, kernel.open_session("main"), ["table_b"])
+    recorder.record(1, "naive_read_group", {"reads": [read_a, read_b]})
 
     trace = recorder.finish(initial_map, kernel.catalog.table_map(final))
     violations = check_isolation(trace)

@@ -1,21 +1,25 @@
 """Trace model for the concurrency harness.
 
-A trace is an append-only, globally sequenced record of observed events
-plus the table maps of every commit those events touched, so isolation
-and serializability can be checked offline from the JSON alone.
+A trace is an append-only, globally sequenced record of observed events,
+so isolation and serializability can be checked offline from the JSON
+alone. A read records the id of the snapshot it was served. `commits`
+holds the table map of each commit a read pinned, plus each head the naive
+scenario's unpinned reader could see: the states a read may be explained by.
 """
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import CorruptRecord
+from ..store import TableData, snapshot_id_of
 from ..util import decoder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     seq: int
     agent: int
@@ -57,6 +61,11 @@ class Trace:
             raise CorruptRecord(f"{path} is not a trace: {exc!r}") from None
 
 
+def served(table: str, data: TableData) -> list:
+    """The [table, snapshot id] pair a read records for the table it was
+    served; interned like `put_snapshot`'s ids, so a commit map shares it."""
+    return [table, sys.intern(snapshot_id_of(data))]
+
 
 def published_delta(catalog, report) -> dict:
     """{node: snapshot id} that a merged run published, read from each
@@ -80,8 +89,10 @@ class TraceRecorder:
             return seq
 
     def register_commit(self, commit_id: str, table_map: dict) -> None:
+        """Keep `table_map` as the commit's map; the caller hands over a map
+        nothing else changes."""
         with self._lock:
-            self._trace.commits.setdefault(commit_id, dict(table_map))
+            self._trace.commits.setdefault(commit_id, table_map)
 
     def finish(self, initial_map: dict, final_map: dict) -> Trace:
         self._trace.initial_map = dict(initial_map)

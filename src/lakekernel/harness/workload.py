@@ -8,7 +8,7 @@ failing one; ROADMAP item 7 (seeded interleavings) would make it replay.
 """
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from ..errors import LakeError
@@ -17,7 +17,7 @@ from ..kernel import LakeKernel
 from ..runner import MERGED, RunOptions
 from ..store import TableData
 from ..util import DeterministicIds, FixedClock, SplitMix64, splitmix64
-from .trace import Trace, TraceRecorder, published_delta
+from .trace import Trace, TraceRecorder, published_delta, served
 
 OPS = ("read_session_scan", "run_pipeline", "run_pipeline_with_fault",
        "branch_and_merge")
@@ -36,6 +36,8 @@ class WorkloadSpec:
     mix: dict = field(default_factory=lambda: dict(DEFAULT_MIX))
 
     def __post_init__(self):
+        if self.n_agents < 1:
+            raise LakeError("a workload needs at least one agent")
         weights = [self.mix.get(op, 0.0) for op in OPS]
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise LakeError("mix weights must be non-negative with positive sum")
@@ -99,10 +101,8 @@ class _Agent:
             name = names[self.rng.randrange(len(names))]
             if name not in picked:
                 picked.append(name)
-        reads = []
-        for name in picked:
-            self.kernel.read_table(session, name, self.principal)
-            reads.append([name, table_map[name]])
+        reads = [served(name, self.kernel.read_table(session, name, self.principal))
+                 for name in picked]
         self.recorder.record(self.index, "read_session_scan",
                              {"pinned": session.pinned, "reads": reads})
 
@@ -110,8 +110,6 @@ class _Agent:
         shift = self.rng.randrange(1000)
         text = _agent_pipeline(self.index, shift)
         head_before = self.kernel.catalog.head("main")
-        self.recorder.register_commit(head_before,
-                                      self.kernel.catalog.table_map(head_before))
         report = self.kernel.run(text, "main",
                                  RunOptions(principal=self.principal,
                                             fail_after=fail_after))
@@ -122,8 +120,6 @@ class _Agent:
             fields["merge_kind"] = merge.kind
             fields["merge_commit"] = merge.commit_id
             fields["published_delta"] = published_delta(self.kernel.catalog, report)
-            self.recorder.register_commit(
-                merge.commit_id, self.kernel.catalog.table_map(merge.commit_id))
         elif merge is not None:
             fields["merge_kind"] = merge.kind
         op = "run_pipeline_with_fault" if fail_after else "run_pipeline"
@@ -151,8 +147,6 @@ class _Agent:
         if merge.ok:
             fields["merge_commit"] = merge.commit_id
             fields["published_delta"] = {"shared": sid}
-            self.recorder.register_commit(
-                merge.commit_id, self.kernel.catalog.table_map(merge.commit_id))
         self.recorder.record(self.index, "branch_and_merge", fields)
 
 
@@ -176,24 +170,10 @@ def simulate(data_dir, spec: WorkloadSpec) -> Trace:
     recorded trace (also persisted as trace.json in the data dir)."""
     kernel = seed_kernel(data_dir, spec)
     recorder = TraceRecorder(spec.to_json(), "main")
-    initial_head = kernel.catalog.head("main")
-    initial_map = kernel.catalog.table_map(initial_head)
-    recorder.register_commit(initial_head, initial_map)
-
+    initial_map = kernel.catalog.table_map("main")
     agents = [_Agent(i, kernel, recorder, spec) for i in range(spec.n_agents)]
-    if spec.n_agents == 1:
-        agents[0].run_ops()
-    else:
-        threads = [threading.Thread(target=a.run_ops, name=f"agent{a.index}")
-                   for a in agents]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    final_head = kernel.catalog.head("main")
-    final_map = kernel.catalog.table_map(final_head)
-    recorder.register_commit(final_head, final_map)
-    trace = recorder.finish(initial_map, final_map)
+    with ThreadPoolExecutor(spec.n_agents) as pool:
+        list(pool.map(_Agent.run_ops, agents))  # re-raises an agent's error
+    trace = recorder.finish(initial_map, kernel.catalog.table_map("main"))
     trace.save(kernel.data_dir / "trace.json")
     return trace

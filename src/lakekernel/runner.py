@@ -1,11 +1,12 @@
 """The transactional run API.
 
 A run never writes to its target branch directly: it plans against the
-target's head commit, reads each source table once at that commit, opens a
-temp branch there, commits node outputs one by one, then publishes all
-of them in a single atomic merge only after every node succeeded and
-every matching verifier passed. On any failure the temp branch is left
-open for inspection and the target head is untouched.
+target's head commit, reads each source table once at that commit (under
+the principal's ReadTable on the target), opens a temp branch there,
+commits node outputs one by one, then publishes all of them in a single
+atomic merge only after every node succeeded and every matching verifier
+passed. On any failure the temp branch is left open for inspection and
+the target head is untouched.
 
 Every run but a dry run leaves its report in runs.log, keyed by run id.
 """
@@ -18,7 +19,7 @@ import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .catalog import MergeResult
+from .catalog import MergeResult, ReadSession
 from .engine import PipelineSpec, execute_plan, format_pipeline, plan
 from .errors import CorruptRun, DuplicateName, LakeError, UnknownInput, UnknownRun
 from .util import Records, decoder
@@ -124,14 +125,15 @@ class Runner:
 
     def run(self, spec: PipelineSpec, target: str, opts: RunOptions) -> RunReport:
         kernel = self.kernel
-        catalog = kernel.catalog
         if opts.fail_after is not None and opts.fail_after not in spec.node_names():
             raise UnknownInput(f"fail_after names unknown node {opts.fail_after!r}")
 
-        # plan and run against one commit: each source is read once, here
-        target_head = catalog.head(target)
-        session = catalog.open_session(target_head)
-        tables = {s: catalog.read_table(session, s) for s in spec.source_tables()}
+        # plan and run against one commit: each source is read once, here,
+        # under ReadTable on the target, before the run has any side effect
+        target_head = kernel.catalog.head(target)
+        session = ReadSession(target_head, target)
+        tables = {s: kernel.read_table(session, s, opts.principal)
+                  for s in spec.source_tables()}
         plans = plan(spec, {n: t.schema for n, t in tables.items()})
         text = format_pipeline(spec)
 

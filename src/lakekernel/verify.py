@@ -7,9 +7,10 @@ prior verdicts.
 """
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import re
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -89,7 +90,6 @@ class VerifierRegistry:
         self._old_dir = Path(root) / "verifiers"  # a file per verifier, before verifiers.log
         self._verdicts_dir = Path(root) / "verdicts"
         self._verdicts_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     # -- registration ------------------------------------------------------
 
@@ -168,11 +168,17 @@ class VerifierRegistry:
         return self._verdicts_dir / f"{run_id}.json"
 
     def _append_verdicts(self, run_id: str, records: list[VerdictRecord]) -> None:
-        with self._lock:
+        """Rewrite the run's file with `records` appended, under the flock of
+        the verdicts directory, so no kernel, thread or process loses another's."""
+        fd = os.open(self._verdicts_dir, os.O_RDONLY)
+        try:  # closing the descriptor releases the flock
+            fcntl.flock(fd, fcntl.LOCK_EX)
             existing = self.verdicts_for_run(run_id)
             body = [asdict(r) for r in existing + records]
             atomic_write(self._verdict_path(run_id),
                          json.dumps(body, sort_keys=True).encode("utf-8"))
+        finally:
+            os.close(fd)
 
     def verdicts_for_run(self, run_id: str) -> list[VerdictRecord]:
         path = self._verdict_path(run_id)

@@ -3,17 +3,22 @@ import time
 
 import pytest
 
+from lakekernel.catalog import Catalog, ReadSession
 from lakekernel.errors import LakeError
 from lakekernel.harness import (
     Trace,
     TraceEvent,
+    TraceRecorder,
     WorkloadSpec,
     check_isolation,
     check_serializability,
     scenario_pinned_read,
     scenario_atomic_publication,
+    seed_kernel,
     simulate,
 )
+from lakekernel.harness.workload import _Agent
+from lakekernel.store import TableData
 from lakekernel.util import SplitMix64, splitmix64
 
 # reference splitmix64 outputs for seed 0 (standard published vector) and
@@ -43,6 +48,8 @@ def test_splitmix64_float_and_range():
 
 
 def test_workload_spec_validation():
+    with pytest.raises(LakeError):
+        WorkloadSpec(0, 1, 0)
     with pytest.raises(LakeError):
         WorkloadSpec(1, 1, 0, mix={"read_session_scan": 0.0})
     with pytest.raises(LakeError):
@@ -74,6 +81,43 @@ def test_concurrent_agents_have_no_isolation_violations(tmp_path):
         trace = simulate(tmp_path / f"s{seed}",
                          WorkloadSpec(n_agents=4, ops_per_agent=25, seed=seed))
         assert check_isolation(trace) == []
+
+
+def test_a_scan_served_from_the_live_head_is_flagged(tmp_path, monkeypatch):
+    """With reads resolving the session's live ref instead of its pin, and a
+    commit landing on main before each read, the scan records snapshots no
+    pinned commit holds, and the checker flags it."""
+    spec = WorkloadSpec(n_agents=1, ops_per_agent=1, seed=0)
+    kernel = seed_kernel(tmp_path / "lake", spec)
+    recorder = TraceRecorder(spec.to_json(), "main")
+    pinned_read = Catalog.read_table
+    landed = []
+
+    def live_read(catalog, session, table):
+        head = catalog.head(session.ref)
+        landed.append(kernel.store.put_snapshot(
+            TableData.build(["slot:int64", "val:int64"], [(0, len(landed) + 1)])))
+        live = catalog.commit_tables(session.ref, {table: landed[-1]}, head,
+                                     "system", "lands between reads")
+        return pinned_read(catalog, ReadSession(live.id, session.ref), table)
+
+    monkeypatch.setattr(Catalog, "read_table", live_read)
+    _Agent(0, kernel, recorder, spec).read_session_scan()
+    trace = recorder.finish({}, {})
+    (scan,) = trace.events
+    assert [sid for _, sid in scan.fields["reads"]] == landed
+    assert [v["seq"] for v in check_isolation(trace)] == [scan.seq]
+
+
+def test_an_agent_error_reaches_the_caller(tmp_path, monkeypatch):
+    def broken_scan(agent):
+        raise OSError(f"agent{agent.index}: disk gone")
+
+    monkeypatch.setattr(_Agent, "read_session_scan", broken_scan)
+    spec = WorkloadSpec(n_agents=2, ops_per_agent=5, seed=0,
+                        mix={"read_session_scan": 1.0})
+    with pytest.raises(OSError, match="disk gone"):
+        simulate(tmp_path / "lake", spec)
 
 
 def test_trace_json_roundtrip(tmp_path):

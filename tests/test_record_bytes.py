@@ -95,7 +95,7 @@ PINNED = {
         '"timings": {"t_a": 1000.0, "t_b": 1000.0}, "verdicts": ' + PASSED + '}',
         PASSED,
         '{"action": "MergeInto:main", "allowed": true, "principal": "alice", '
-        '"reason": "granted by MergeInto:*", "seq": 6}'),
+        '"reason": "granted by MergeInto:*", "seq": 7}'),
     "failed_open": (
         '{"base_commit": "@BASE@", "node_results": [{"commit_id": "@T_A@", "error": null, '
         '"node": "t_a", "status": "succeeded"}, {"commit_id": null, "error": null, '
@@ -106,7 +106,7 @@ PINNED = {
         '"timings": {"t_a": 1000.0}, "verdicts": []}',
         None,
         '{"action": "WriteBranch:run/duo/@RUN@", "allowed": true, "principal": "alice", '
-        '"reason": "granted by WriteBranch:*", "seq": 4}'),
+        '"reason": "granted by WriteBranch:*", "seq": 5}'),
     "failed_node": (
         '{"base_commit": "@BASE@", "node_results": [{"commit_id": null, '
         '"error": "EvalError: division by zero", "node": "bad", "status": "failed"}], '
@@ -117,7 +117,7 @@ PINNED = {
         '"timings": {"bad": 1000.0}, "verdicts": []}',
         None,
         '{"action": "CreateBranch:run/duo/@RUN@", "allowed": true, "principal": "alice", '
-        '"reason": "granted by CreateBranch:*", "seq": 3}'),
+        '"reason": "granted by CreateBranch:*", "seq": 4}'),
     "verifier_rejected": (
         '{"base_commit": "@BASE@", "node_results": ' + BOTH_NODES + ', "outcome": '
         '{"kind": "verifier_rejected", "merge": null, "node_order": [], "reason": null, '
@@ -127,7 +127,7 @@ PINNED = {
         '"verdicts": ' + REJECTED + '}',
         REJECTED,
         '{"action": "WriteBranch:run/duo/@RUN@", "allowed": true, "principal": "alice", '
-        '"reason": "granted by WriteBranch:*", "seq": 5}'),
+        '"reason": "granted by WriteBranch:*", "seq": 6}'),
     "denied": (
         '{"base_commit": "@BASE@", "node_results": ' + BOTH_NODES + ', "outcome": '
         '{"kind": "denied", "merge": null, "node_order": [], "reason": '
@@ -137,7 +137,7 @@ PINNED = {
         '"timings": {"t_a": 1000.0, "t_b": 1000.0}, "verdicts": ' + PASSED + '}',
         PASSED,
         '{"action": "MergeInto:main", "allowed": false, "principal": "alice", '
-        '"reason": "\'alice\' holds no permission matching MergeInto:main", "seq": 6}'),
+        '"reason": "\'alice\' holds no permission matching MergeInto:main", "seq": 7}'),
     "succeeded_open": (
         '{"base_commit": "@BASE@", "node_results": ' + BOTH_NODES + ', "outcome": '
         '{"kind": "succeeded_open", "merge": null, "node_order": [], "reason": null, '
@@ -147,7 +147,7 @@ PINNED = {
         '"verdicts": ' + PASSED + '}',
         PASSED,
         '{"action": "WriteBranch:run/duo/@RUN@", "allowed": true, "principal": "alice", '
-        '"reason": "granted by WriteBranch:*", "seq": 5}'),
+        '"reason": "granted by WriteBranch:*", "seq": 6}'),
 }
 
 
@@ -351,9 +351,9 @@ def test_cli_json_bytes_of_a_fixed_clock_lake(tmp_path, monkeypatch):
     audit = (tmp_path / "lake" / "audit.log").read_text("utf-8").splitlines()
     assert audit[-2:] == [
         '{"action": "MergeInto:main", "allowed": true, "principal": "dana", '
-        '"reason": "granted by MergeInto:*", "seq": 10}',
+        '"reason": "granted by MergeInto:*", "seq": 11}',
         '{"action": "MergeInto:main", "allowed": false, "principal": "intern", '
-        '"reason": "\'intern\' holds no permission matching MergeInto:main", "seq": 11}']
+        '"reason": "\'intern\' holds no permission matching MergeInto:main", "seq": 12}']
 
 
 def _fixed_clock_lake(tmp_path, monkeypatch):

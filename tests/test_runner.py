@@ -300,6 +300,35 @@ roles = ["maker"]
     assert all(r.status == "succeeded" for r in report.node_results)
 
 
+def test_run_cannot_copy_a_table_its_principal_may_not_read(tmp_path):
+    """A principal who may run pipelines and read only run branches cannot
+    copy `secret` off main with an unmerged run: the source read is
+    checked and audited as ReadTable on the target before any branch exists."""
+    policy = parse_policy("""\
+whitelist = ["pandas==2.0"]
+[[role]]
+name = "runner"
+permissions = ["RunPipeline:*", "CreateBranch:run/*", "WriteBranch:run/*", "ReadTable:run/*:*"]
+[[principal]]
+name = "mole"
+roles = ["runner"]
+""")
+    kernel = make_kernel(tmp_path / "lake", policy=policy)
+    sid = kernel.store.put_snapshot(TableData.build(["k:int64", "x:int64"], [(1, 42)]))
+    kernel.catalog.commit_tables("main", {"secret": sid}, kernel.catalog.head("main"),
+                                 "system", "seed")
+    with pytest.raises(Denied):
+        kernel.read_table(kernel.open_session("main"), "secret", "mole")
+    copy = ("pipeline leak\nnode copied:\n  inputs: secret\n"
+            "  env: runtime=python3.11 packages=[pandas==2.0]\n"
+            "  materialize: REPLACE\n  query: SELECT k, x FROM secret\n")
+    with pytest.raises(Denied):
+        kernel.run(copy, "main", RunOptions(principal="mole", skip_merge=True))
+    assert list(kernel.catalog.branches()) == ["main"]
+    last = kernel.governor.records[-1]
+    assert (last.action, last.allowed) == ("ReadTable:main:secret", False)
+
+
 def test_atomic_publication_polling_observer(kernel):
     """An observer polling main and pinning a session never sees
     some-but-not-all outputs of any run."""
@@ -364,8 +393,9 @@ def test_audit_trail_per_run_is_documented_composite(kernel):
     assert actions[0].startswith("RunPipeline:duo")
     assert sum(1 for a in actions if a.startswith("CreateBranch:run/duo/")) == 1
     assert sum(1 for a in actions if a.startswith("WriteBranch:run/duo/")) == 2
+    assert sum(1 for a in actions if a == "ReadTable:main:raw") == 1
     assert sum(1 for a in actions if a == "MergeInto:main") == 1
-    assert len(actions) == 5  # one record per governed call, nothing hidden
+    assert len(actions) == 6  # one record per governed call, nothing hidden
 
 
 def _chain(bad: int | None) -> str:

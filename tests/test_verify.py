@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from conftest import child_env, count_journal_reads
+from conftest import child_env, count_journal_reads, make_kernel
+from lakekernel import verify as verify_module
 from lakekernel.engine import parse_query
 from lakekernel.errors import (CorruptRecord, Denied, DuplicateName, LakeError, MergeRefused,
                                ShapeError)
@@ -198,6 +199,37 @@ def test_verdicts_persisted_per_run(kernel):
     assert stored == list(report.verdicts)
     at_commit = kernel.verifiers.verdicts_at_commit(report.final_commit())
     assert len(at_commit) == 1
+
+
+def test_two_kernels_on_one_data_dir_keep_each_others_verdicts(kernel, monkeypatch):
+    """Kernel A pauses inside its verdict append, between reading the run's
+    file and writing it, until kernel B's append returns (or a timeout):
+    both appends land, with the run's own verdict, in one file of 3."""
+    seed_raw(kernel)
+    kernel.register_verifier("nonempty", "duo",
+                             "SELECT count(*) > 0 AS ok FROM t_b", "alice")
+    report = kernel.run(PIPE, "main", RunOptions(principal="alice", skip_merge=True))
+    other = make_kernel(kernel.data_dir, principals=("alice",))
+    inside, b_returned = threading.Event(), threading.Event()
+    real_write = verify_module.atomic_write
+
+    def paused_write(path, data):
+        if threading.current_thread() is a:
+            inside.set()
+            b_returned.wait(timeout=1.0)
+        real_write(path, data)
+
+    monkeypatch.setattr(verify_module, "atomic_write", paused_write)
+    a = threading.Thread(target=kernel.run_verifiers, args=(report.run_id,))
+    a.start()
+    try:
+        assert inside.wait(timeout=10)
+        other.run_verifiers(report.run_id)
+    finally:
+        b_returned.set()
+        a.join(timeout=10)
+    assert not a.is_alive()
+    assert len(kernel.verifiers.verdicts_for_run(report.run_id)) == 3
 
 
 _REGISTER = r"""
