@@ -174,10 +174,10 @@ def cmd_table_import(ctx: _Ctx) -> int:
     table = decode_table(data)
     if encode_table(table) != data:  # the file's SHA-256 must be the snapshot id
         raise CorruptSnapshot(f"{ctx.args.csv} is not in canonical snapshot form")
-    sid = kernel.store.put_snapshot(table)
     head = kernel.catalog.head(ctx.args.branch)
-    commit = kernel.commit_tables(ctx.args.branch, {ctx.args.name: sid}, head,
+    commit = kernel.commit_tables(ctx.args.branch, {ctx.args.name: table}, head,
                                   principal, f"import {ctx.args.name}")
+    sid = commit.tables[ctx.args.name]
     ctx.emit({"table": ctx.args.name, "snapshot": sid, "commit": commit.id,
               "rows": table.num_rows()},
              f"imported {ctx.args.name} ({table.num_rows()} rows) as {sid[:12]}")

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from . import governance
 from .catalog import Catalog, MergeResult, ReadSession
-from .engine import PipelineSpec, execute_query, parse_pipeline, parse_query
+from .engine import (PipelineSpec, execute_query, format_pipeline, parse_pipeline,
+                     parse_query)
 from .errors import Denied, MergeRefused
 from .governance import Governor, Policy
 from .runner import Runner, RunOptions, RunReport
@@ -24,8 +25,7 @@ from .verify import VerifierRegistry, VerifierSpec
 class LakeKernel:
     def __init__(self, data_dir, policy: Policy | None = None,
                  clock=None, ids=None):
-        self.data_dir = Path(data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        self.data_dir = Path(data_dir)  # created by the first write, not here
         self.clock = clock or SystemClock()
         self.ids = ids or RandomIds()
         self.store = SnapshotStore(self.data_dir)
@@ -59,7 +59,11 @@ class LakeKernel:
 
     def commit_tables(self, branch: str, changes: dict, expected_head: str,
                       principal: str, message: str):
+        """A change is a snapshot id, DELETE, or a TableData, which is
+        stored only once the write is allowed."""
         self.governor.require(principal, governance.write_branch(branch))
+        changes = {name: self.store.put_snapshot(c) if isinstance(c, TableData) else c
+                   for name, c in changes.items()}
         return self.catalog.commit_tables(branch, changes, expected_head,
                                           principal, message)
 
@@ -100,8 +104,9 @@ class LakeKernel:
 
     def run(self, spec: PipelineSpec | str, target: str,
             opts: RunOptions) -> RunReport:
-        if isinstance(spec, str):
-            spec = parse_pipeline(spec)
+        """A spec runs as its canonical text, which its report records: one
+        the parser would refuse is refused before any side effect."""
+        spec = parse_pipeline(spec if isinstance(spec, str) else format_pipeline(spec))
         self.governor.require(opts.principal,
                               governance.run_pipeline(spec.name))
         violations = []

@@ -163,9 +163,8 @@ class Runner:
             try:
                 table = execute_plan(plans[node.name],
                                      {t: tables[t] for t in node.query.tables()})
-                sid = kernel.store.put_snapshot(table)
                 head = kernel.commit_tables(
-                    temp, {node.name: sid}, head,
+                    temp, {node.name: table}, head,
                     opts.principal, f"materialize {node.name}").id
             except LakeError as exc:
                 results.append(NodeResult(node.name, FAILED,

@@ -237,8 +237,7 @@ class SnapshotStore:
         self.root = Path(root)
         # str paths through os.path: a Path interns the parts it parses, so
         # one per snapshot name would grow the interned-string table
-        self._objects = os.path.join(self.root, "objects")
-        os.makedirs(self._objects, exist_ok=True)
+        self._objects = os.path.join(self.root, "objects")  # made by the first put
         self._lock = threading.Lock()
         self._reads = 0
         self._writes = 0

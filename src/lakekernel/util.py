@@ -107,8 +107,14 @@ class Journal:
     def locked(self):
         """Hold the file's flock, caught up to its end with any torn tail
         cut off; yields append(record), which writes one record (bytes, no
-        newline) and applies it."""
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        newline) and applies it. The first append to a journal creates its
+        directory."""
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self.path, flags, 0o644)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags, 0o644)
         try:  # closing the descriptor releases the flock
             fcntl.flock(fd, fcntl.LOCK_EX)
             with self._mutex:

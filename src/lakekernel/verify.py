@@ -88,8 +88,7 @@ class VerifierRegistry:
         self._records = Records(Path(root) / "verifiers.log")
         self._specs: dict[str, VerifierSpec] = {}  # a name is registered once
         self._old_dir = Path(root) / "verifiers"  # a file per verifier, before verifiers.log
-        self._verdicts_dir = Path(root) / "verdicts"
-        self._verdicts_dir.mkdir(parents=True, exist_ok=True)
+        self._verdicts_dir = Path(root) / "verdicts"  # made by the first verdict
 
     # -- registration ------------------------------------------------------
 
@@ -170,6 +169,7 @@ class VerifierRegistry:
     def _append_verdicts(self, run_id: str, records: list[VerdictRecord]) -> None:
         """Rewrite the run's file with `records` appended, under the flock of
         the verdicts directory, so no kernel, thread or process loses another's."""
+        self._verdicts_dir.mkdir(exist_ok=True)
         fd = os.open(self._verdicts_dir, os.O_RDONLY)
         try:  # closing the descriptor releases the flock
             fcntl.flock(fd, fcntl.LOCK_EX)

@@ -179,6 +179,32 @@ def test_table_import_takes_only_canonical_bytes(env, capsys, body, canonical):
         assert code == 0 and out["snapshot"] == hashlib.sha256(canonical).hexdigest()
 
 
+def test_a_denied_import_leaves_objects_empty(tmp_path, capsys):
+    """`table import` stores the snapshot only after WriteBranch is allowed,
+    so neither a principal without it nor one the policy does not know can
+    fill objects/."""
+    data, policy, csv = tmp_path / "lake", tmp_path / "policy.toml", tmp_path / "raw.csv"
+    policy.write_text(POLICY)
+    csv.write_text(RAW)
+    assert main(["--data-dir", str(data), "init", "--policy", str(policy)]) == 0
+    for principal in ("intern", "nobody"):
+        code, body = run_json(capsys, ["--data-dir", str(data), "table", "import", "raw",
+                                       "--csv", str(csv), "--as", principal])
+        assert (code, body["error"]) == (1, "Denied")
+    objects = data / "objects"
+    assert not objects.exists() or not any(objects.iterdir())
+
+
+@pytest.mark.parametrize("command", [["branch", "list"], ["runs", "list"],
+                                     ["log", "main"], ["verifier", "list"]])
+def test_a_read_of_a_missing_data_dir_creates_no_directory(tmp_path, capsys, command):
+    """A mistyped --data-dir is read as an empty lake, and nothing is made."""
+    data = tmp_path / "typo"
+    code = main(["--data-dir", str(data), *command, "--json"])
+    assert code in (0, 1)  # `log main` has no main to resolve
+    assert not data.exists()
+
+
 def test_query_json_schema(env, capsys):
     code, body = run_json(capsys, [
         "--data-dir", env["data"], "query",

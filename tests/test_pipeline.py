@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pipeline_oracle
 from lakekernel.engine import (
     EnvSpec,
     NodeSpec,
@@ -40,7 +41,6 @@ def test_parse_two_node_taxi_pipeline():
     assert spec.source_tables() == ["taxi_trips", "taxi_zones"]
     assert spec.nodes[0].env.runtime == "python3.10"
     assert spec.nodes[0].env.packages == ("pandas==2.0",)
-    assert spec.nodes[0].materialization == "REPLACE"
 
 
 def test_empty_file_is_parse_error():
@@ -130,6 +130,95 @@ def test_parse_error_carries_line_number():
 def test_format_parse_roundtrip():
     spec = parse_pipeline(TAXI)
     assert parse_pipeline(format_pipeline(spec)) == spec
+
+
+# --- differential: the one-pass parser against the cursor parser it replaced ---
+
+_FUZZ_BASES = (
+    "pipeline p\n"
+    "node a:\n"
+    "  inputs: src\n"
+    "  env: runtime=py packages=[x==1]\n"
+    "  materialize: REPLACE\n"
+    "  query: SELECT k, v + 1 AS w FROM src WHERE v > 2\n"
+    "node b:\n"
+    "  inputs: a, src\n"
+    "  env: runtime=py packages=[]\n"
+    "  materialize: REPLACE\n"
+    "  query: SELECT a.k AS k, count(*) AS n\n"
+    "    FROM a JOIN src ON a.k = src.k\n"
+    "    GROUP BY a.k\n",
+    "pipeline q\n"
+    "node only:\n"
+    "  inputs: t\n"
+    "  env: runtime=py3 packages=[y==2, z==3]\n"
+    "  materialize: REPLACE\n"
+    "  query: SELECT 'a b' AS s FROM t\n",
+)
+_INDENTS = ("", " ", "  ", "    ", "\t", " \t", "      ")
+_SWAPS = (("REPLACE", "APPEND"), ("node a", "node Bad!"), ("inputs: src", "inputs:"),
+          ("src", "b"), ("packages=[]", "packages=[bad]"), ("SELECT", "SELEC"),
+          ("py", "python 3"), ("query:", "query :"), ("k", ""), (":", ""))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(8)
+        if op == 0:  # a blank or whitespace-only line
+            lines.insert(i, rng.choice(("", " ", "\t", "  \r", "\x0c")))
+        elif op == 1:  # re-indent a line
+            lines[i] = rng.choice(_INDENTS) + lines[i].lstrip(" \t")
+        elif op == 2:
+            lines[i] += "\r"
+        elif op == 3 and len(lines) > 1:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 4 and len(lines) > 1:
+            del lines[i]
+        elif op == 5:  # wrap a line at a space, the rest indented anyhow
+            cut = [k for k, c in enumerate(lines[i]) if c == " " and k > 0]
+            if cut:
+                k = rng.choice(cut)
+                lines[i:i + 1] = [lines[i][:k], rng.choice(_INDENTS) + lines[i][k + 1:]]
+        elif op == 6:
+            old, new = rng.choice(_SWAPS)
+            lines[i] = lines[i].replace(old, new, 1)
+        else:  # the whole text, or a tail of it, twice
+            lines += lines[i:]
+    return "\n".join(lines)
+
+
+def _outcome(parse, text: str):
+    """The spec and its plain-tuple form, or None and the error's type,
+    message and line."""
+    try:
+        spec = parse(text)
+    except ParseError as exc:
+        return None, (type(exc), str(exc), exc.line)
+    return spec, (spec.name, tuple((n.name, n.inputs, n.env.runtime, n.env.packages, n.query)
+                                   for n in spec.nodes))
+
+
+def differential_parse(seed: int, count: int) -> int:
+    """Parse `count` mutated texts with both parsers, asserting they agree
+    and that each spec round-trips; returns how many texts parsed."""
+    rng = random.Random(seed)
+    parsed = 0
+    for _ in range(count):
+        text = _mutate(rng, rng.choice(_FUZZ_BASES))
+        spec, got = _outcome(parse_pipeline, text)
+        assert got == _outcome(pipeline_oracle.parse_pipeline, text)[1], text
+        if spec is not None:
+            parsed += 1
+            assert parse_pipeline(format_pipeline(spec)) == spec, text
+    return parsed
+
+
+def test_one_pass_parser_agrees_with_the_cursor_parser_it_replaced():
+    parsed = differential_parse(seed=27, count=5000)
+    assert 0 < parsed < 5000  # both sides of the language were reached
 
 
 # --- planning ------------------------------------------------------------------
@@ -253,8 +342,8 @@ def test_plan_rejects_a_node_that_reads_a_later_node():
     can hold one; plan names the node instead of failing on a lookup."""
     env = EnvSpec("py", ())
     spec = PipelineSpec("p", (
-        NodeSpec("first", ("second",), env, "REPLACE", parse_query("SELECT a FROM second")),
-        NodeSpec("second", ("src",), env, "REPLACE", parse_query("SELECT a FROM src")),
+        NodeSpec("first", ("second",), env, parse_query("SELECT a FROM second")),
+        NodeSpec("second", ("src",), env, parse_query("SELECT a FROM src")),
     ))
     with pytest.raises(UnknownInput) as exc:
         plan(spec, {"src": Schema.of("a:int64")})

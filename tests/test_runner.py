@@ -1,11 +1,13 @@
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
 from conftest import count_journal_reads, make_kernel
 from lakekernel.catalog import CONFLICT, MergeResult
-from lakekernel.errors import Denied, DuplicateName, UnknownInput, UnknownRun
+from lakekernel.engine import EnvSpec, PipelineSpec, parse_pipeline, parse_query
+from lakekernel.errors import Denied, DuplicateName, ParseError, UnknownInput, UnknownRun
 from lakekernel.governance import parse_policy
 from lakekernel.runner import (
     DENIED,
@@ -298,6 +300,53 @@ roles = ["maker"]
     assert kernel.catalog.branch_exists(report.temp_branch)
     # every node still ran and was committed on the temp branch
     assert all(r.status == "succeeded" for r in report.node_results)
+
+
+def test_a_run_denied_its_node_write_stores_no_snapshot(tmp_path):
+    """The node's output is stored only after WriteBranch on the temp branch
+    is allowed: a principal without it ends failed_open, and objects/ holds
+    no more than before."""
+    policy = parse_policy("""\
+whitelist = ["pandas==2.0", "polars==0.88"]
+[[role]]
+name = "reader"
+permissions = ["ReadTable:*:*", "CreateBranch:run/*", "RunPipeline:*"]
+[[principal]]
+name = "nowrite"
+roles = ["reader"]
+""")
+    kernel = make_kernel(tmp_path / "lake", policy=policy)
+    seed_raw(kernel)
+    objects = kernel.data_dir / "objects"
+    before = sorted(p for p in objects.rglob("*") if p.is_file())
+    report = kernel.run(PIPE, "main", RunOptions(principal="nowrite"))
+    assert report.outcome.kind == FAILED_OPEN
+    assert report.node_results[0].error.startswith("Denied: ")
+    assert sorted(p for p in objects.rglob("*") if p.is_file()) == before
+
+
+def _lake_state(kernel):
+    def read(name):
+        path = kernel.data_dir / name
+        return path.read_bytes() if path.exists() else None
+    return read("audit.log"), kernel.catalog.branches(), read("runs.log")
+
+
+@pytest.mark.parametrize("bad", [
+    lambda node: replace(node, name="Bad Name!"),
+    lambda node: replace(node, env=EnvSpec("python 3.11", ("pandas==2.0",))),
+    lambda node: replace(node, query=parse_query("SELECT k, 'a\nb' AS s FROM raw")),
+], ids=["node-name", "runtime-with-a-space", "literal-with-a-line-break"])
+def test_a_spec_runs_only_as_text_the_parser_accepts(kernel, bad):
+    """A spec runs as its canonical text: one whose text the parser refuses
+    is refused with ParseError before any audit record, branch or report."""
+    seed_raw(kernel)
+    spec = parse_pipeline(PIPE)
+    spec = PipelineSpec(spec.name, (bad(spec.nodes[0]),))
+    before = _lake_state(kernel)
+    with pytest.raises(ParseError):
+        kernel.run(spec, "main", RunOptions(principal="alice"))
+    assert _lake_state(kernel) == before
 
 
 def test_run_cannot_copy_a_table_its_principal_may_not_read(tmp_path):

@@ -182,6 +182,7 @@ def test_a_misshapen_verdict_for_another_commit_refuses_every_merge(kernel):
     verdict = {"run_id": "r", "verifier": "v", "verdict": "pass", "detail": "",
                "evaluated_at": "0" * 64}
     main = kernel.catalog.head("main")
+    (kernel.data_dir / "verdicts").mkdir()
     for bad in ({**verdict, "extra": 1},
                 {**verdict, "verifier": 5, "verdict": "fail", "evaluated_at": head}):
         (kernel.data_dir / "verdicts" / "r.json").write_text(json.dumps([bad]))
