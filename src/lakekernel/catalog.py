@@ -126,6 +126,14 @@ def _apply_moves(refs: dict, journal: Path, chunk: bytes, _offset: int) -> None:
         raise CorruptRecord(f"{journal} holds a corrupt ref move: {exc}") from None
 
 
+def _expect_head(refs, branch: str, expected_head: str) -> None:
+    found = refs.get(branch)
+    if found is None:
+        raise UnknownBranch(f"no branch {branch!r}")
+    if found != expected_head:
+        raise StaleHead(f"{branch} moved to {found[:12]}, expected {expected_head[:12]}")
+
+
 class Catalog:
     def __init__(self, root: Path, store: SnapshotStore, clock=None):
         self.root = Path(root)
@@ -255,7 +263,9 @@ class Catalog:
                       author: str, message: str) -> Commit:
         """Apply `changes` (snapshot id or DELETE per table) on top of the
         parent map, advancing the ref only if its head still equals
-        expected_head."""
+        expected_head, checked under the refs flock. A writer that stored a
+        snapshot after `expect_head` and loses a race here leaves it named by
+        no commit, as a crash would: one orphan line or file."""
         parent = self.get_commit(expected_head)
         tables = dict(parent.tables)
         for name, change in changes.items():
@@ -269,14 +279,17 @@ class Catalog:
                 tables[name] = change
         commit = Commit.make([expected_head], tables, author, message, self.clock.now())
         with self._locked_refs() as move:
-            found = self._refs.get(branch)
-            if found is None:
-                raise UnknownBranch(f"no branch {branch!r}")
-            if found != expected_head:
-                raise StaleHead(f"{branch} moved to {found[:12]}, "
-                                f"expected {expected_head[:12]}")
+            _expect_head(self._refs, branch, expected_head)
             move(branch, commit.id, write=commit)
         return commit
+
+    def expect_head(self, branch: str, expected_head: str) -> None:
+        """UnknownBranch or StaleHead unless `branch` is at `expected_head`:
+        the check a writer makes before it stores anything. It reads refs.log
+        only when this catalog's view disagrees, so a move it has not seen
+        yet is refused only by `commit_tables`'s check under the flock."""
+        if self._refs.get(branch) != expected_head:
+            _expect_head(self._load_refs(), branch, expected_head)
 
     # -- history --------------------------------------------------------------
 

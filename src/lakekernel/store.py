@@ -8,10 +8,15 @@ encoding is bit-exact — the SHA-256 of those bytes IS the snapshot id.
 The decoder reads each field with one compiled pattern: a ``"`` opens a
 quoted section anywhere in a field, ``""`` inside a section is one quote,
 and a field ends at an unquoted ``,`` or newline.
+
+Where a snapshot lives depends only on the size of its encoding: one of at
+most PACK_MAX_BYTES is a line of the ``snapshots.log`` journal, a larger one
+is a file under ``objects/``.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorruptSnapshot, InvalidTable, NotFound, StorageFailure
-from .util import atomic_write
+from .util import Records, atomic_write, decoder
 
 COLUMN_TYPES = ("int64", "float64", "string", "bool")
 IDENT_RE = re.compile(r"[a-z_][a-z0-9_]*")  # a column name is a query identifier
@@ -35,6 +40,9 @@ _FIELD_RE = re.compile(rf"({_FIELD_BODY})([,\n])")
 _QUOTED_RE = re.compile(r'"([^"]*(?:""[^"]*)*)"(?!")')
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+# an encoding this small is a line of snapshots.log, not a file: most
+# snapshots are tables of a few rows, each of which would take a whole block
+PACK_MAX_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -225,19 +233,24 @@ def snapshot_id_of(table: TableData) -> str:
 
 
 class SnapshotStore:
-    """One file per snapshot at objects/<first2>/<rest62> under the root.
+    """Snapshots by id under the root: an encoding of at most PACK_MAX_BYTES
+    is a line of snapshots.log (a `util.Records` keyed by id, whose body is
+    the encoding as one JSON string), a larger one the file
+    objects/<first2>/<rest62>. A read looks in the pack, then for a file, so
+    a lake whose small snapshots are files still reads.
 
-    put is idempotent (racing writers of identical content are benign) and
-    every write lands via temp-file-then-atomic-rename. The read/write
-    counters cover snapshot CONTENT only; they exist so copy-on-write
-    branching can be asserted as literally zero data I/O.
+    put is idempotent (racing writers of identical content are benign): a
+    pack line is one locked append, a file lands via temp-file-then-atomic-
+    rename. The read/write counters cover snapshot CONTENT only; they exist
+    so copy-on-write branching can be asserted as literally zero data I/O.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
         # str paths through os.path: a Path interns the parts it parses, so
         # one per snapshot name would grow the interned-string table
-        self._objects = os.path.join(self.root, "objects")  # made by the first put
+        self._objects = os.path.join(self.root, "objects")  # made by the first file
+        self._pack = Records(self.root / "snapshots.log")  # made by the first line
         self._lock = threading.Lock()
         self._reads = 0
         self._writes = 0
@@ -250,12 +263,19 @@ class SnapshotStore:
         # interned, like commit ids: every commit that maps a table to this
         # snapshot holds the same string
         hex_id = sys.intern(hashlib.sha256(data).hexdigest())
-        path = self._path(hex_id)
-        if os.path.exists(path):
+        if self.has_snapshot(hex_id):
             return hex_id
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            atomic_write(path, data)
+            if len(data) <= PACK_MAX_BYTES:
+                # ensure_ascii=False: the line is the text itself, escaped
+                # only where JSON must, so it holds no newline
+                body = json.dumps(data.decode("utf-8"), ensure_ascii=False)
+                if not self._pack.put(hex_id, body.encode("utf-8")):
+                    return hex_id  # another writer appended it first
+            else:
+                path = self._path(hex_id)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                atomic_write(path, data)
         except OSError as exc:
             raise StorageFailure(f"cannot write snapshot {hex_id}: {exc}") from exc
         with self._lock:
@@ -263,16 +283,22 @@ class SnapshotStore:
         return hex_id
 
     def get_snapshot(self, hex_id: str) -> TableData:
-        if not HEX_ID_RE.fullmatch(hex_id):  # no other id names a file under objects/
+        if not HEX_ID_RE.fullmatch(hex_id):  # no other id names a snapshot
             raise NotFound(f"no snapshot {hex_id}")
-        path = self._path(hex_id)
         try:
-            with open(path, "rb") as f:
-                data = f.read()
+            body = self._pack.get(hex_id)
+            if body is None:
+                with open(self._path(hex_id), "rb") as f:
+                    data = f.read()
+            else:
+                data = decoder(str)(json.loads(body)).encode("utf-8")
         except FileNotFoundError:
             raise NotFound(f"no snapshot {hex_id}") from None
         except OSError as exc:
             raise StorageFailure(f"cannot read snapshot {hex_id}: {exc}") from exc
+        except (ValueError, TypeError) as exc:  # not JSON, not a string, not UTF-8
+            raise CorruptSnapshot(f"snapshot {hex_id} is corrupt in snapshots.log: "
+                                  f"{exc!r}") from None
         if hashlib.sha256(data).hexdigest() != hex_id:
             raise CorruptSnapshot(f"snapshot {hex_id} fails hash verification")
         with self._lock:
@@ -280,7 +306,8 @@ class SnapshotStore:
         return decode_table(data)
 
     def has_snapshot(self, hex_id: str) -> bool:
-        return bool(HEX_ID_RE.fullmatch(hex_id)) and os.path.exists(self._path(hex_id))
+        return bool(HEX_ID_RE.fullmatch(hex_id)) and (
+            hex_id in self._pack or os.path.exists(self._path(hex_id)))
 
     def io_counters(self) -> tuple[int, int]:
         with self._lock:

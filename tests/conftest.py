@@ -48,6 +48,14 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
+def stored_snapshots(data_dir) -> dict:
+    """Every stored snapshot's file, as {path under the data dir: bytes}:
+    snapshots.log and each file under objects/."""
+    root = Path(data_dir)
+    paths = [root / "snapshots.log", *(root / "objects").rglob("*")]
+    return {str(p.relative_to(root)): p.read_bytes() for p in paths if p.is_file()}
+
+
 def count_journal_reads(monkeypatch, name: str) -> list:
     """Record every read of a journal file called `name` from here on, as
     the bytes it read: each catch-up (the one under the flock of every

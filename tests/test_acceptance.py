@@ -376,8 +376,10 @@ def _deterministic_session(path, seed):
     faulted = kernel.run(PIPE, "main",
                          RunOptions(principal="alice", fail_after="t_a"))
     snapshot_ids = sorted(
-        p.parent.name + p.name
-        for p in (path / "objects").glob("*/*"))
+        [p.parent.name + p.name for p in (path / "objects").glob("*/*")]
+        + [line[:64] for line in
+           (path / "snapshots.log").read_text("utf-8").splitlines()])
+    assert len(snapshot_ids) == 3
     commit_ids = sorted(line[:64] for line in
                         (path / "commits.log").read_text("utf-8").splitlines())
     assert len(commit_ids) > 3

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import child_env, count_journal_reads
+from conftest import child_env, count_journal_reads, stored_snapshots
 from lakekernel.catalog import (
     COMMIT_CACHE_SIZE,
     CONFLICT,
@@ -26,7 +26,7 @@ from lakekernel.errors import (
     UnknownSnapshot,
     UnknownTable,
 )
-from lakekernel.store import SnapshotStore, TableData
+from lakekernel.store import SnapshotStore, TableData, snapshot_id_of
 from lakekernel.util import FixedClock, StepClock
 
 
@@ -107,6 +107,23 @@ def test_stale_head_rejected(tmp_path):
     cat.commit_tables("main", {"a": snap(store, 1)}, old, "alice", "one")
     with pytest.raises(StaleHead):
         cat.commit_tables("main", {"a": snap(store, 2)}, old, "bob", "two")
+
+
+def test_a_stale_or_unknown_branch_commit_stores_no_snapshot(kernel):
+    """The kernel checks the branch and its head before it stores a TableData
+    change, so a commit refused with StaleHead or UnknownBranch leaves
+    snapshots.log and objects/ as they were, for a packed table and a file."""
+    old = kernel.catalog.head("main")
+    kernel.commit_tables("main", {"a": TableData.build(["v:int64"], [(1,), (2,)])}, old,
+                         "alice", "one")
+    before = stored_snapshots(kernel.data_dir)
+    for branch, error in (("main", StaleHead), ("nope", UnknownBranch)):
+        for n in (3, 300):  # a pack line, a file
+            table = TableData.build(["v:int64"], [(i,) for i in range(n)])
+            with pytest.raises(error):
+                kernel.commit_tables(branch, {"b": table}, old, "alice", "two")
+            assert not kernel.store.has_snapshot(snapshot_id_of(table))
+    assert stored_snapshots(kernel.data_dir) == before
 
 
 def test_concurrent_cas_exactly_one_wins(tmp_path):

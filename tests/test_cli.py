@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, make_kernel
+from conftest import child_env, make_kernel, stored_snapshots
 from lakekernel import cli
 from lakekernel.cli import main
 from lakekernel.runner import RunOptions, Runner
-from lakekernel.store import TableData
+from lakekernel.store import PACK_MAX_BYTES, TableData
 from lakekernel.verify import VerifierRegistry
 
 POLICY = """\
@@ -179,10 +179,10 @@ def test_table_import_takes_only_canonical_bytes(env, capsys, body, canonical):
         assert code == 0 and out["snapshot"] == hashlib.sha256(canonical).hexdigest()
 
 
-def test_a_denied_import_leaves_objects_empty(tmp_path, capsys):
+def test_a_denied_import_leaves_the_store_empty(tmp_path, capsys):
     """`table import` stores the snapshot only after WriteBranch is allowed,
     so neither a principal without it nor one the policy does not know can
-    fill objects/."""
+    add to snapshots.log or objects/."""
     data, policy, csv = tmp_path / "lake", tmp_path / "policy.toml", tmp_path / "raw.csv"
     policy.write_text(POLICY)
     csv.write_text(RAW)
@@ -191,8 +191,7 @@ def test_a_denied_import_leaves_objects_empty(tmp_path, capsys):
         code, body = run_json(capsys, ["--data-dir", str(data), "table", "import", "raw",
                                        "--csv", str(csv), "--as", principal])
         assert (code, body["error"]) == (1, "Denied")
-    objects = data / "objects"
-    assert not objects.exists() or not any(objects.iterdir())
+    assert stored_snapshots(data) == {}
 
 
 @pytest.mark.parametrize("command", [["branch", "list"], ["runs", "list"],
@@ -273,10 +272,15 @@ def test_verifier_cli_flow(env, capsys):
 
 
 def test_data_dir_layout_matches_readme(env, capsys):
-    """The top-level entries of a lake with a merged run and a verdict are
-    the names in README's "Data layout" block, so adding or dropping a kind
-    of file means updating the README too."""
+    """The top-level entries of a lake with a merged run, a verdict and a
+    table over PACK_MAX_BYTES are the names in README's "Data layout" block,
+    so adding or dropping a kind of file means updating the README too."""
     data = env["data"]
+    big = Path(data).parent / "big.csv"  # the one snapshot that is a file
+    big.write_text("k:int64,x:int64\n" + "".join(f"{i},{i * 10}\n" for i in range(100)))
+    assert big.stat().st_size > PACK_MAX_BYTES
+    assert main(["--data-dir", data, "table", "import", "big", "--csv", str(big),
+                 "--as", "dana"]) == 0
     assert main(["--data-dir", data, "verifier", "register", "--name", "nonempty",
                  "--pipeline", "duo", "--check", "SELECT count(*) > 0 AS ok FROM t_b",
                  "--as", "dana"]) == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import count_journal_reads, make_kernel
+from conftest import count_journal_reads, make_kernel, stored_snapshots
 from lakekernel.catalog import CONFLICT, MergeResult
 from lakekernel.engine import EnvSpec, PipelineSpec, parse_pipeline, parse_query
 from lakekernel.errors import Denied, DuplicateName, ParseError, UnknownInput, UnknownRun
@@ -304,7 +304,7 @@ roles = ["maker"]
 
 def test_a_run_denied_its_node_write_stores_no_snapshot(tmp_path):
     """The node's output is stored only after WriteBranch on the temp branch
-    is allowed: a principal without it ends failed_open, and objects/ holds
+    is allowed: a principal without it ends failed_open, and the store holds
     no more than before."""
     policy = parse_policy("""\
 whitelist = ["pandas==2.0", "polars==0.88"]
@@ -317,12 +317,12 @@ roles = ["reader"]
 """)
     kernel = make_kernel(tmp_path / "lake", policy=policy)
     seed_raw(kernel)
-    objects = kernel.data_dir / "objects"
-    before = sorted(p for p in objects.rglob("*") if p.is_file())
+    before = stored_snapshots(kernel.data_dir)
+    assert before  # seed_raw stored the source table
     report = kernel.run(PIPE, "main", RunOptions(principal="nowrite"))
     assert report.outcome.kind == FAILED_OPEN
     assert report.node_results[0].error.startswith("Denied: ")
-    assert sorted(p for p in objects.rglob("*") if p.is_file()) == before
+    assert stored_snapshots(kernel.data_dir) == before
 
 
 def _lake_state(kernel):

@@ -1,10 +1,15 @@
 import hashlib
+import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from lakekernel.errors import CorruptSnapshot, InvalidTable, NotFound
+from lakekernel.kernel import LakeKernel
 from lakekernel.store import (
+    PACK_MAX_BYTES,
     Schema,
     SnapshotStore,
     TableData,
@@ -221,15 +226,152 @@ def test_get_unknown_id(tmp_path):
         store.get_snapshot("0" * 64)
 
 
-def test_tampered_snapshot_detected(tmp_path):
+@pytest.mark.parametrize("n_rows", [2, 200], ids=["packed", "file"])
+def test_tampered_snapshot_detected(tmp_path, n_rows):
     store = SnapshotStore(tmp_path)
-    sid = store.put_snapshot(TableData.build(["a:int64"], [(1,), (2,)]))
-    path = tmp_path / "objects" / sid[:2] / sid[2:]
-    raw = bytearray(path.read_bytes())
-    raw[-2] ^= 0x01  # flip one bit inside the last row
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CorruptSnapshot):
+    sid = store.put_snapshot(TableData.build(["a:int64"], [(i,) for i in range(n_rows)]))
+    packed = n_rows == 2
+    path = tmp_path / "snapshots.log" if packed else tmp_path / "objects" / sid[:2] / sid[2:]
+    assert (tmp_path / "objects").exists() is not packed
+    raw = path.read_bytes()
+    at = raw.rindex(str(n_rows - 1).encode())  # the last row
+    path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])  # flip one bit
+    with pytest.raises(CorruptSnapshot, match="fails hash verification"):
         store.get_snapshot(sid)
+
+
+# --- the pack: snapshots of at most PACK_MAX_BYTES are lines of snapshots.log
+
+def _stored_as(root, sid) -> str:
+    if (root / "objects" / sid[:2] / sid[2:]).exists():
+        return "file"
+    log = root / "snapshots.log"
+    lines = log.read_bytes().splitlines() if log.exists() else []
+    return "packed" if any(line.startswith(sid.encode()) for line in lines) else "absent"
+
+
+def test_pack_holds_encodings_of_at_most_pack_max_bytes(tmp_path):
+    store = SnapshotStore(tmp_path)
+    header = b"s:string\n"
+    for size, kind in ((PACK_MAX_BYTES, "packed"), (PACK_MAX_BYTES + 1, "file")):
+        table = TableData.build(["s:string"], [("x" * (size - len(header) - 1),)])
+        assert len(encode_table(table)) == size
+        sid = store.put_snapshot(table)
+        assert _stored_as(tmp_path, sid) == kind
+        assert store.get_snapshot(sid) == table
+
+
+def test_a_pack_line_is_the_id_and_the_encoding_as_one_json_string(tmp_path):
+    store = SnapshotStore(tmp_path)
+    table = TableData.build(["s:string"], [("new\nline, \"ünïcode\"",)])
+    sid = store.put_snapshot(table)
+    line = json.dumps(encode_table(table).decode(), ensure_ascii=False)
+    assert (tmp_path / "snapshots.log").read_bytes() == f"{sid} {line}\n".encode()
+    assert store.put_snapshot(table) == sid  # a second put appends nothing
+    assert (tmp_path / "snapshots.log").read_bytes().count(b"\n") == 1
+    assert not (tmp_path / "objects").exists()
+
+
+def test_torn_pack_tail_is_ignored_then_truncated(tmp_path):
+    """A writer that crashed mid-append leaves a line with no newline:
+    readers do not see its snapshot, and the next put cuts it off."""
+    store = SnapshotStore(tmp_path)
+    a, b = (TableData.build(["v:int64"], [(v,)]) for v in (1, 2))
+    sid = store.put_snapshot(a)
+    log = tmp_path / "snapshots.log"
+    intact = log.read_bytes()
+    torn = snapshot_id_of(b)
+    with open(log, "ab") as fh:
+        fh.write(f'{torn} "v:int64\\n'.encode())  # torn: no body end, no newline
+    fresh = SnapshotStore(tmp_path)
+    assert fresh.get_snapshot(sid) == a
+    assert not fresh.has_snapshot(torn)
+    with pytest.raises(NotFound):
+        fresh.get_snapshot(torn)
+    assert fresh.put_snapshot(b) == torn
+    assert log.read_bytes() == intact + f'{torn} "v:int64\\n2\\n"\n'.encode()
+    for reader in (store, SnapshotStore(tmp_path)):
+        assert reader.get_snapshot(sid) == a and reader.get_snapshot(torn) == b
+
+
+@pytest.mark.parametrize("body", [
+    b'"v:int64\\n1\\n',     # not JSON: the string never closes
+    b'["v:int64\\n1\\n"]',  # JSON, not a string
+    b'"v:int64\\n2\\n"',    # a string that fails its hash
+    b'"v:int64\\n\\ud800"',  # a string that is no UTF-8 text
+    b'"v:int64\\n\xff"',     # not UTF-8
+], ids=["not-json", "not-a-string", "wrong-hash", "lone-surrogate", "not-utf8"])
+def test_a_corrupt_pack_line_is_corrupt_snapshot(tmp_path, body):
+    sid = snapshot_id_of(TableData.build(["v:int64"], [(1,)]))
+    (tmp_path / "snapshots.log").write_bytes(sid.encode() + b" " + body + b"\n")
+    store = SnapshotStore(tmp_path)
+    assert store.has_snapshot(sid)
+    with pytest.raises(CorruptSnapshot, match=sid):
+        store.get_snapshot(sid)
+
+
+def test_threads_on_two_kernels_put_each_snapshot_once(tmp_path):
+    """Threads on two kernels of one data dir put overlapping small tables at
+    once: snapshots.log ends with one line per distinct table, each put is
+    counted by the one kernel that wrote it, and each kernel reads every
+    table the other put."""
+    kernels = [LakeKernel(tmp_path / "lake") for _ in range(2)]
+    tables = [TableData.build(["v:int64"], [(v,)]) for v in range(40)]
+    ids = [snapshot_id_of(t) for t in tables]
+
+    def writer(i):
+        order = list(range(len(tables)))
+        random.Random(i).shuffle(order)
+        for n in order:
+            assert kernels[i % 2].store.put_snapshot(tables[n]) == ids[n]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            list(pool.map(writer, range(4)))  # raises what a writer raised
+    finally:
+        sys.setswitchinterval(interval)
+    lines = (tmp_path / "lake" / "snapshots.log").read_bytes().splitlines()
+    assert sorted(line[:64].decode() for line in lines) == sorted(ids)
+    assert sum(k.store.io_counters()[1] for k in kernels) == len(ids)
+    for k in kernels:
+        assert [k.store.get_snapshot(sid) for sid in ids] == tables
+
+
+def test_a_fresh_store_reads_what_a_warm_one_put(tmp_path):
+    rng = random.Random(5)
+    tables = [_random_table(rng) for _ in range(60)]
+    tables += [TableData.build(["a:int64", "s:string"], [(i, _random_string(rng))
+                                                        for i in range(120)])
+               for _ in range(5)]
+    warm = SnapshotStore(tmp_path)
+    ids = [warm.put_snapshot(t) for t in tables]
+    assert {_stored_as(tmp_path, sid) for sid in ids} == {"packed", "file"}
+    fresh = SnapshotStore(tmp_path)
+    for sid, table in zip(ids, tables):
+        assert fresh.get_snapshot(sid) == warm.get_snapshot(sid) == table
+
+
+def test_a_lake_whose_small_snapshots_are_files_still_reads(tmp_path):
+    """Small snapshots written as objects/<2>/<62> files, as lakes did
+    before the pack, read as before; putting one again appends nothing."""
+    old = [TableData.build(["v:int64"], [(v,)]) for v in range(3)]
+    for table in old:
+        sid = snapshot_id_of(table)
+        (tmp_path / "objects" / sid[:2]).mkdir(parents=True, exist_ok=True)
+        (tmp_path / "objects" / sid[:2] / sid[2:]).write_bytes(encode_table(table))
+    store = SnapshotStore(tmp_path)
+    new = TableData.build(["v:int64"], [(99,)])
+    packed = store.put_snapshot(new)
+    assert _stored_as(tmp_path, packed) == "packed"
+    for table in old:
+        sid = snapshot_id_of(table)
+        assert store.has_snapshot(sid) and store.get_snapshot(sid) == table
+        assert store.put_snapshot(table) == sid
+    assert store.has_snapshot(packed) and store.get_snapshot(packed) == new
+    assert (tmp_path / "snapshots.log").read_bytes().count(b"\n") == 1
+    assert store.io_counters() == (4, 1)
 
 
 def test_read_counter(tmp_path):
