@@ -7,8 +7,12 @@ linearization point on disk shared by threads and processes alike. Each
 move appends one line `<old|-> <new|-> <branch>` to that journal ("-":
 absent), and a catalog replays only the lines appended since its last
 read. A commit is one `<id> <body>` record of commits.log, appended
-under the refs flock before the move that publishes it. Branching and
-merging move references only — they never touch snapshot content.
+under the refs flock before the move that publishes it; the new tables a
+commit brings are stored in that same section, after its head check. The
+lock order is refs.log, then the snapshot store, then commits.log: no path
+takes the store's flock before the refs flock, and a put never calls back
+into the catalog. Branching and merging move references only — they never
+touch snapshot content.
 """
 from __future__ import annotations
 
@@ -126,14 +130,6 @@ def _apply_moves(refs: dict, journal: Path, chunk: bytes, _offset: int) -> None:
         raise CorruptRecord(f"{journal} holds a corrupt ref move: {exc}") from None
 
 
-def _expect_head(refs, branch: str, expected_head: str) -> None:
-    found = refs.get(branch)
-    if found is None:
-        raise UnknownBranch(f"no branch {branch!r}")
-    if found != expected_head:
-        raise StaleHead(f"{branch} moved to {found[:12]}, expected {expected_head[:12]}")
-
-
 class Catalog:
     def __init__(self, root: Path, store: SnapshotStore, clock=None):
         self.root = Path(root)
@@ -174,8 +170,9 @@ class Catalog:
         """Hold the refs journal's flock, caught up to its end, so the caller
         checks its precondition against every branch's current head. Yields
         move(branch, new, write=None): append `write` to commits.log, then
-        move `branch` to `new` (None: delete it). The lock order is refs,
-        then commits, so a reader that sees a ref finds its commit."""
+        move `branch` to `new` (None: delete it). commits.log is locked
+        after refs.log (and after the store, in commit_tables), so a reader
+        that sees a ref finds its commit."""
         with self._journal.locked() as append:
             def move(branch: str, new: str | None, write: Commit | None = None) -> None:
                 if write is not None:
@@ -261,35 +258,35 @@ class Catalog:
 
     def commit_tables(self, branch: str, changes: dict, expected_head: str,
                       author: str, message: str) -> Commit:
-        """Apply `changes` (snapshot id or DELETE per table) on top of the
-        parent map, advancing the ref only if its head still equals
-        expected_head, checked under the refs flock. A writer that stored a
-        snapshot after `expect_head` and loses a race here leaves it named by
-        no commit, as a crash would: one orphan line or file."""
-        parent = self.get_commit(expected_head)
-        tables = dict(parent.tables)
-        for name, change in changes.items():
-            if change is DELETE:
-                if name not in tables:
-                    raise UnknownTable(f"cannot delete absent table {name!r}")
-                del tables[name]
-            else:
-                if not self.store.has_snapshot(change):
-                    raise UnknownSnapshot(f"snapshot {change!r} not in store")
-                tables[name] = change
-        commit = Commit.make([expected_head], tables, author, message, self.clock.now())
+        """Apply `changes` (a TableData, a snapshot id or DELETE per table)
+        on top of expected_head's map and move `branch` to the new commit.
+        All of it is decided under the refs flock: the head is checked first,
+        the new map built from it, and only then is each TableData stored, so
+        a commit refused for any reason stores nothing. Only a crash between
+        a put and the move leaves a snapshot named by no commit."""
         with self._locked_refs() as move:
-            _expect_head(self._refs, branch, expected_head)
+            found = self._refs.get(branch)
+            if found is None:
+                raise UnknownBranch(f"no branch {branch!r}")
+            if found != expected_head:
+                raise StaleHead(f"{branch} moved to {found[:12]}, "
+                                f"expected {expected_head[:12]}")
+            tables = dict(self.get_commit(expected_head).tables)
+            for name, change in changes.items():
+                if change is DELETE:
+                    if name not in tables:
+                        raise UnknownTable(f"cannot delete absent table {name!r}")
+                    del tables[name]
+                elif isinstance(change, TableData) or self.store.has_snapshot(change):
+                    tables[name] = change
+                else:
+                    raise UnknownSnapshot(f"snapshot {change!r} not in store")
+            for name, change in changes.items():
+                if isinstance(change, TableData):
+                    tables[name] = self.store.put_snapshot(change)
+            commit = Commit.make([expected_head], tables, author, message, self.clock.now())
             move(branch, commit.id, write=commit)
         return commit
-
-    def expect_head(self, branch: str, expected_head: str) -> None:
-        """UnknownBranch or StaleHead unless `branch` is at `expected_head`:
-        the check a writer makes before it stores anything. It reads refs.log
-        only when this catalog's view disagrees, so a move it has not seen
-        yet is refused only by `commit_tables`'s check under the flock."""
-        if self._refs.get(branch) != expected_head:
-            _expect_head(self._load_refs(), branch, expected_head)
 
     # -- history --------------------------------------------------------------
 

@@ -39,11 +39,9 @@ def _fresh_kernel(data_dir, principals) -> LakeKernel:
     return kernel
 
 
-def _commit_table(kernel, branch, name, table, author) -> str:
-    head = kernel.catalog.head(branch)
-    sid = kernel.store.put_snapshot(table)
-    kernel.catalog.commit_tables(branch, {name: sid}, head, author, f"set {name}")
-    return sid
+def _commit_table(kernel, branch, name, table, author) -> None:
+    kernel.catalog.commit_tables(branch, {name: table}, kernel.catalog.head(branch),
+                                 author, f"set {name}")
 
 
 def _read(kernel, recorder, session, tables) -> tuple[list, list]:
@@ -166,9 +164,8 @@ def _naive_run(kernel, text: str, principal: str, recorder, agent: int,
         table = execute_plan(plans[node.name], {
             t: outputs[t] if t in outputs else kernel.catalog.read_table(live, t)
             for t in node.query.tables()})
-        sid = kernel.store.put_snapshot(table)
         commit = kernel.catalog.commit_tables(
-            "main", {node.name: sid}, kernel.catalog.head("main"),
+            "main", {node.name: table}, kernel.catalog.head("main"),
             principal, f"naive {node.name}")
         recorder.register_commit(commit.id, commit.tables)
         recorder.record(agent, "naive_commit", {"node": node.name,

@@ -138,15 +138,14 @@ class _Agent:
         head = self.kernel.catalog.head(branch)
         value = self.rng.randrange(1 << 31)
         table = TableData.build(["slot:int64", "val:int64"], [(0, value)])
-        sid = self.kernel.store.put_snapshot(table)
-        self.kernel.commit_tables(branch, {"shared": sid}, head,
-                                  self.principal, "update shared")
+        commit = self.kernel.commit_tables(branch, {"shared": table}, head,
+                                           self.principal, "update shared")
         merge = self.kernel.merge(branch, "main", self.principal)
         fields = {"branch": branch, "merge_kind": merge.kind,
                   "conflicts": list(merge.conflicts)}
         if merge.ok:
             fields["merge_commit"] = merge.commit_id
-            fields["published_delta"] = {"shared": sid}
+            fields["published_delta"] = {"shared": commit.tables["shared"]}
         self.recorder.record(self.index, "branch_and_merge", fields)
 
 
@@ -156,12 +155,10 @@ def seed_kernel(data_dir, spec: WorkloadSpec) -> LakeKernel:
                         policy=permissive_policy(principals, _WL_PACKAGES),
                         clock=FixedClock(0), ids=DeterministicIds(spec.seed))
     kernel.init()
-    head = kernel.catalog.head("main")
-    base = TableData.build(["k:int64", "v:int64"], [(1, 10), (2, 20), (3, 30)])
-    shared = TableData.build(["slot:int64", "val:int64"], [(0, 0)])
-    changes = {"base": kernel.store.put_snapshot(base),
-               "shared": kernel.store.put_snapshot(shared)}
-    kernel.catalog.commit_tables("main", changes, head, "system", "seed tables")
+    changes = {"base": TableData.build(["k:int64", "v:int64"], [(1, 10), (2, 20), (3, 30)]),
+               "shared": TableData.build(["slot:int64", "val:int64"], [(0, 0)])}
+    kernel.catalog.commit_tables("main", changes, kernel.catalog.head("main"),
+                                 "system", "seed tables")
     return kernel
 
 

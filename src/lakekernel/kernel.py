@@ -59,13 +59,7 @@ class LakeKernel:
 
     def commit_tables(self, branch: str, changes: dict, expected_head: str,
                       principal: str, message: str):
-        """A change is a snapshot id, DELETE, or a TableData, which is
-        stored only once the write is allowed and `branch` is at
-        `expected_head`."""
         self.governor.require(principal, governance.write_branch(branch))
-        self.catalog.expect_head(branch, expected_head)
-        changes = {name: self.store.put_snapshot(c) if isinstance(c, TableData) else c
-                   for name, c in changes.items()}
         return self.catalog.commit_tables(branch, changes, expected_head,
                                           principal, message)
 

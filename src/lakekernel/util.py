@@ -82,19 +82,21 @@ class Journal:
         """Apply the complete lines from the offset to the end of file;
         returns the size of the torn tail after them. Caller holds _mutex.
 
-        Reads in bounded chunks, so replaying a long journal in a fresh
-        process never holds a buffer of the whole file."""
+        Reads _READ_CHUNK bytes at a time, doubling the read while it holds
+        no newline, so replaying a long journal in a fresh process holds a
+        buffer of one chunk or twice its longest line, never the whole file."""
         size = os.fstat(fd).st_size
+        want = _READ_CHUNK
         while self._offset < size:
-            want = size - self._offset
-            data = os.pread(fd, min(want, _READ_CHUNK), self._offset)
+            data = os.pread(fd, min(want, size - self._offset), self._offset)
             end = data.rfind(b"\n") + 1
-            if not end and len(data) < want:  # a line longer than a chunk
-                data = os.pread(fd, want, self._offset)
-                end = data.rfind(b"\n") + 1
-            if not end:
+            if end:
+                self._consume(data[:end])
+                want = _READ_CHUNK
+            elif len(data) < want:  # the file ends inside this line
                 return len(data)
-            self._consume(data[:end])
+            else:  # a line longer than the read
+                want *= 2
         return 0
 
     def _consume(self, chunk: bytes) -> None:

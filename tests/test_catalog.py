@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import child_env, count_journal_reads, stored_snapshots
+from conftest import child_env, count_journal_reads, make_kernel, stored_snapshots
 from lakekernel.catalog import (
     COMMIT_CACHE_SIZE,
     CONFLICT,
@@ -110,20 +110,62 @@ def test_stale_head_rejected(tmp_path):
 
 
 def test_a_stale_or_unknown_branch_commit_stores_no_snapshot(kernel):
-    """The kernel checks the branch and its head before it stores a TableData
-    change, so a commit refused with StaleHead or UnknownBranch leaves
-    snapshots.log and objects/ as they were, for a packed table and a file."""
+    """A commit checks the branch and its head under the refs flock before it
+    stores a TableData change, so a commit refused with StaleHead or
+    UnknownBranch leaves snapshots.log and objects/ as they were, for a packed
+    table and a file; also from a kernel whose view is stale, because a
+    second kernel on the same data dir moved the branch."""
     old = kernel.catalog.head("main")
     kernel.commit_tables("main", {"a": TableData.build(["v:int64"], [(1,), (2,)])}, old,
                          "alice", "one")
+    other = make_kernel(kernel.data_dir)
+    seen = other.catalog.head("main")  # other's view of main, which goes stale
+    kernel.commit_tables("main", {"a": TableData.build(["v:int64"], [(3,)])}, seen,
+                         "alice", "two")
     before = stored_snapshots(kernel.data_dir)
-    for branch, error in (("main", StaleHead), ("nope", UnknownBranch)):
+    cases = ((kernel, "main", old, StaleHead), (kernel, "nope", old, UnknownBranch),
+             (other, "main", seen, StaleHead))
+    for writer, branch, head, error in cases:
         for n in (3, 300):  # a pack line, a file
             table = TableData.build(["v:int64"], [(i,) for i in range(n)])
             with pytest.raises(error):
-                kernel.commit_tables(branch, {"b": table}, old, "alice", "two")
+                writer.commit_tables(branch, {"b": table}, head, "alice", "three")
             assert not kernel.store.has_snapshot(snapshot_id_of(table))
     assert stored_snapshots(kernel.data_dir) == before
+
+
+def test_concurrent_cas_of_tables_stores_only_the_winners(kernel, monkeypatch):
+    """Two threads of one kernel commit a new table each from the same head,
+    both reaching the refs flock before either takes it: one wins, and the
+    loser's table is never stored."""
+    real_locked_refs = kernel.catalog._locked_refs
+    both_at_the_lock = threading.Barrier(2)
+
+    def locked_refs():
+        both_at_the_lock.wait(timeout=10)
+        return real_locked_refs()
+
+    monkeypatch.setattr(kernel.catalog, "_locked_refs", locked_refs)
+    for r in range(10):
+        head = kernel.catalog.head("main")
+        tables = [TableData.build(["v:int64"], [(r * 2 + i,)]) for i in (0, 1)]
+        outcomes = [None, None]
+
+        def contender(i):
+            try:
+                kernel.commit_tables("main", {"t": tables[i]}, head, "alice", "race")
+                outcomes[i] = "ok"
+            except StaleHead:
+                outcomes[i] = "stale"
+
+        threads = [threading.Thread(target=contender, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(outcomes) == ["ok", "stale"]
+        assert [kernel.store.has_snapshot(snapshot_id_of(t)) for t in tables] == \
+            [o == "ok" for o in outcomes]
 
 
 def test_concurrent_cas_exactly_one_wins(tmp_path):
@@ -456,6 +498,11 @@ def test_branches(tmp_path):
         cat.create_branch("dev2", "nope")
     assert cat.delete_branch("dev") is True
     assert cat.delete_branch("dev") is False  # tolerant second delete
+    with pytest.raises(UnknownBranch):
+        cat.head("dev")
+    with pytest.raises(LakeError, match="cannot delete main"):
+        cat.delete_branch("main")
+    assert cat.branches() == {"main": cat.head("main")}
 
 
 def test_branch_from_commit_id_and_resolve(tmp_path):

@@ -660,6 +660,45 @@ def test_heal_and_approve_cli(env, capsys, tmp_path):
     assert code == 0 and body["kind"] in ("fast_forward", "merge_commit")
 
 
+def test_heal_that_gives_up_exits_1_with_its_history(env, capsys, tmp_path):
+    bad = tmp_path / "bad.pipe"
+    bad.write_text(PIPE.replace("x + 1", "x / (k - 1)"))
+    patches = tmp_path / "patches"
+    patches.mkdir()
+    (patches / "01.pipe").write_text(PIPE.replace("x + 1", "x / (k - k)"))
+    code, body = run_json(capsys, ["--data-dir", env["data"], "run", str(bad),
+                                   "--as", "dana"])
+    assert code == 1
+    argv = ["--data-dir", env["data"], "heal", "--run", body["run_id"],
+            "--patches", str(patches), "--budget", "3", "--as", "dana"]
+    code, body = run_json(capsys, argv)
+    assert code == 1 and body["gave_up"] is True
+    assert [(a["attempt"], a["result"]) for a in body["history"]] == \
+        [(0, "failed_open"), (1, "gave_up")]
+    assert body["history"][0]["detail"].startswith("node t_a: EvalError")
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("gave up; attempts:\n  0: failed_open node t_a")
+
+
+def test_diff_cli(env, capsys):
+    data = ["--data-dir", env["data"]]
+    assert main(data + ["branch", "create", "dev", "--from", "main", "--as", "dana"]) == 0
+    capsys.readouterr()
+    assert run_json(capsys, data + ["diff", "main", "dev"]) == (0, {"diff": []})
+    assert main(data + ["diff", "main", "dev"]) == 0
+    assert capsys.readouterr().out == "no changes\n"
+    extra = env["tmp"] / "extra.csv"
+    extra.write_text("v:int64\n1\n")
+    assert main(data + ["table", "import", "extra", "--csv", str(extra),
+                        "--branch", "dev", "--as", "dana"]) == 0
+    capsys.readouterr()
+    assert run_json(capsys, data + ["diff", "main", "dev"]) == (0, {"diff": [["extra", "Added"]]})
+    assert main(data + ["diff", "dev", "main"]) == 0
+    assert capsys.readouterr().out == "Removed  extra\n"
+    code, body = run_json(capsys, data + ["diff", "main", "nope"])
+    assert code == 1 and body["error"] == "UnknownRef"
+
+
 def test_simulate_and_check_cli(env, capsys, tmp_path):
     from lakekernel.harness import Trace
     out = tmp_path / "trace.json"

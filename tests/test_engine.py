@@ -188,6 +188,13 @@ def test_avg_returns_float():
     ("SELECT a + 1 FROM t", {"t": ["a:int64"]}),  # computed item needs alias
     ("SELECT a AS x, b AS x FROM t", {"t": ["a:int64", "b:int64"]}),
     ("SELECT count(*) AS n FROM t WHERE count(*) > 0", {"t": ["a:int64"]}),
+    ("SELECT a FROM t JOIN t ON t.a = t.a", {"t": ["a:int64"]}),  # self-join
+    ("SELECT v.a AS x FROM t", {"t": ["a:int64"]}),  # unknown qualifier
+    ("SELECT a FROM t WHERE NOT a", {"t": ["a:int64"]}),
+    ("SELECT s + 1 AS x FROM t", {"t": ["s:string"]}),
+    ("SELECT a FROM t JOIN u ON t.a = t.b",
+     {"t": ["a:int64", "b:int64"], "u": ["c:int64"]}),  # relates one input
+    ("SELECT a FROM t JOIN u ON t.a = u.s", {"t": ["a:int64"], "u": ["s:string"]}),
 ])
 def test_type_errors(sql, schemas):
     with pytest.raises(QueryTypeError):

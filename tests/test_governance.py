@@ -230,9 +230,12 @@ def test_policy_parse_error_on_bad_syntax():
     ('[[role]]\nname = "a"\nname = "b"\n', ParseError),
     ('[[role]]\npermissions = ["ManagePolicy"]\n', InvalidPolicy),
     ('[[principal]]\nroles = []\n', InvalidPolicy),
+    ('[[role]]\nname = "r"\n[[role]]\nname = "r"\n', InvalidPolicy),
+    ('[[principal]]\nname = "p"\n[[principal]]\nname = "p"\n', InvalidPolicy),
 ], ids=["int-name", "string-roles", "string-permissions",
         "string-whitelist", "top-level-key", "top-level-table", "role-table",
-        "duplicate-key", "role-without-name", "principal-without-name"])
+        "duplicate-key", "role-without-name", "principal-without-name",
+        "duplicate-role", "duplicate-principal"])
 def test_policy_rejects_bad_files(text, error):
     with pytest.raises(error):
         parse_policy(text)

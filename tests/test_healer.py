@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import make_kernel
@@ -8,11 +10,12 @@ from lakekernel.governance import parse_policy
 from lakekernel.healer import (
     BaselineAgent,
     RepairAgent,
+    _outcome_detail,
     approve,
     find_proposal,
     heal,
 )
-from lakekernel.runner import FAILED_OPEN, RunOptions, VERIFIER_REJECTED
+from lakekernel.runner import DENIED, FAILED_OPEN, RunOptions, VERIFIER_REJECTED
 from lakekernel.store import TableData
 from lakekernel.util import Journal
 
@@ -264,6 +267,8 @@ def test_find_proposal_for_cli(healing_kernel):
     assert rebuilt == result.proposal
     with pytest.raises(UnknownRun):
         find_proposal(kernel, "run/metrics/does-not-exist")
+    with pytest.raises(UnknownRun, match="no run produced branch"):  # a real run's id
+        find_proposal(kernel, f"run/other/{result.proposal.run_id}")
 
 
 def test_find_proposal_reads_one_run_report(healing_kernel, monkeypatch):
@@ -318,3 +323,44 @@ def test_approve_refuses_a_verifier_rejected_run(healing_kernel):
     with pytest.raises(UnknownRun):
         approve(kernel, find_proposal(kernel, report.temp_branch), "dana")
     assert kernel.catalog.head("main") == main_before
+
+
+def test_an_attempt_rejected_by_verifiers_names_them(healing_kernel):
+    kernel = healing_kernel
+    failed = fail_run(kernel)
+    kernel.register_verifier("gate", "metrics", "SELECT count(*) < 0 AS ok FROM ratios",
+                             "dana")
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
+                  budget=1, principal="fixer")
+    assert result.proposal is None
+    assert [(a.result, a.detail) for a in result.history] == \
+        [(VERIFIER_REJECTED, "verifiers rejected: gate")]
+
+
+def test_outcome_detail_of_an_injected_fault_and_of_a_denied_publish(healing_kernel):
+    kernel = healing_kernel
+    fault = kernel.run(GUARDED, "main", RunOptions(principal="dana", fail_after="ratios"))
+    assert fault.outcome.kind == FAILED_OPEN
+    assert _outcome_detail(fault) == "injected fault"
+    denied = kernel.run(GUARDED, "main", RunOptions(principal="fixer"))  # no MergeInto:main
+    assert denied.outcome.kind == DENIED
+    assert _outcome_detail(denied) == denied.outcome.reason
+    assert "MergeInto:main" in denied.outcome.reason
+
+
+def test_approve_refuses_a_verdict_bound_to_another_commit(healing_kernel):
+    """A report read back from runs.log is outside input: one whose verdict
+    names a commit other than the verified head is refused."""
+    kernel = healing_kernel
+    kernel.register_verifier("gate", "metrics", "SELECT count(*) > 0 AS ok FROM ratios",
+                             "dana")
+    failed = fail_run(kernel)
+    result = heal(kernel, failed.run_id, BaselineAgent([parse_pipeline(GUARDED)]),
+                  budget=1, principal="fixer")
+    verdict, = result.proposal.verdicts
+    main_before = kernel.catalog.head("main")
+    forged = replace(result.proposal, verdicts=(replace(verdict, evaluated_at=main_before),))
+    with pytest.raises(StaleProposal, match="verdict gate bound to"):
+        approve(kernel, forged, "dana")
+    assert kernel.catalog.head("main") == main_before
+    assert approve(kernel, result.proposal, "dana").ok

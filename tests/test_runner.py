@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import lakekernel.runner
 from conftest import count_journal_reads, make_kernel, stored_snapshots
 from lakekernel.catalog import CONFLICT, MergeResult
 from lakekernel.engine import EnvSpec, PipelineSpec, parse_pipeline, parse_query
@@ -174,18 +175,19 @@ def test_foreign_commit_on_temp_branch_fails_the_run(kernel, monkeypatch):
     nodes is never built on or published: the next node's CAS fails."""
     seed_raw(kernel)
     before = kernel.catalog.head("main")
-    real_put = kernel.store.put_snapshot
-    puts = []
+    real_execute = lakekernel.runner.execute_plan
+    calls = []
 
-    def put_then_intrude(table):
-        puts.append(table)
-        if len(puts) == 2:  # node 1 has committed, node 2 has not
+    def intrude_then_execute(plan, tables):
+        calls.append(plan)
+        if len(calls) == 2:  # node 1 has committed, node 2 has not
             temp, = [b for b in kernel.catalog.branches() if b.startswith("run/")]
-            kernel.catalog.commit_tables(temp, {"intruder": real_put(table)},
+            intruder = TableData.build(["v:int64"], [(1,)])
+            kernel.catalog.commit_tables(temp, {"intruder": intruder},
                                          kernel.catalog.head(temp), "bob", "foreign")
-        return real_put(table)
+        return real_execute(plan, tables)
 
-    monkeypatch.setattr(kernel.store, "put_snapshot", put_then_intrude)
+    monkeypatch.setattr(lakekernel.runner, "execute_plan", intrude_then_execute)
     report = kernel.run(PIPE, "main", RunOptions(principal="alice"))
     assert report.outcome.kind == FAILED_OPEN
     t_b = report.node_results[1]

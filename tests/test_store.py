@@ -170,6 +170,11 @@ def test_decode_quoting_rules(body, rows):
     ("a:float64\n-inf\n", "non-finite float64: -inf"),
     ("a:int64\n9223372036854775808\n", "int64 out of range: 9223372036854775808"),
     ("a:int64\n-9223372036854775809\n", "int64 out of range: -9223372036854775809"),
+    ("", "empty snapshot"),
+    ("a:int64", "missing header newline"),
+    ("a\n", "bad header entry 'a'"),
+    ("A b:int64\n", "bad column name 'A b'"),
+    ("a:int99\n", "bad column type 'int99' for 'a'"),
 ])
 def test_decode_malformed_bodies(body, message):
     with pytest.raises(CorruptSnapshot) as exc:
@@ -222,8 +227,9 @@ def test_distinct_content_distinct_ids(tmp_path):
 
 def test_get_unknown_id(tmp_path):
     store = SnapshotStore(tmp_path)
-    with pytest.raises(NotFound):
-        store.get_snapshot("0" * 64)
+    for bad in ("0" * 64, "objects", "../" + "0" * 61):  # only a hex id names a snapshot
+        with pytest.raises(NotFound):
+            store.get_snapshot(bad)
 
 
 @pytest.mark.parametrize("n_rows", [2, 200], ids=["packed", "file"])

@@ -3,6 +3,7 @@ verifiers.log, and util.decoder, which reads every JSON record back; and a
 stdlib stand-in for a linter's unused-import check over the package."""
 import ast
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -13,7 +14,7 @@ from lakekernel.catalog import Commit, MergeResult
 from lakekernel.governance import AuditRecord
 from lakekernel.harness import Trace, TraceEvent
 from lakekernel.runner import NodeResult, Outcome, RunReport
-from lakekernel.util import Records, decoder
+from lakekernel.util import _READ_CHUNK, Records, decoder
 from lakekernel.verify import VerdictRecord
 
 
@@ -29,6 +30,37 @@ def test_records_torn_tail_is_invisible_then_cut_off_by_the_next_put(tmp_path):
     assert Records(path).put("c", b"3")
     assert path.read_bytes() == b"a 1\nc 3\n"
     assert records.get("c") == b"3" and records.get("b") is None
+
+
+def test_a_replay_past_a_long_line_reads_bounded_chunks(tmp_path, monkeypatch):
+    """A fresh reader replays a line longer than a read chunk with reads of
+    at most twice its length, not one buffer of the rest of the file; a torn
+    long last line stays invisible and is cut off by the next put."""
+    path = tmp_path / "r.log"
+    lines = [b"long " + b"x" * 20_000] + [b"k%d " % i + b"y" * 100 for i in range(3000)]
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    real_pread, reads = os.pread, []
+
+    def pread(fd, n, offset):
+        reads.append(n)
+        return real_pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", pread)
+    records = Records(path)
+    assert records.get("long") == b"x" * 20_000
+    assert all(records.get(f"k{i}") == b"y" * 100 for i in range(3000))
+    assert max(reads) <= 2 * max(map(len, lines)) + _READ_CHUNK
+
+    torn = b"torn " + b"z" * 40_000  # a writer that died mid-append
+    with open(path, "ab") as f:
+        f.write(torn)
+    reads.clear()
+    fresh = Records(path)
+    assert "torn" not in fresh and len(fresh.keys()) == 3001
+    assert max(reads) <= 2 * len(torn) + _READ_CHUNK
+    assert Records(path).put("c", b"3")
+    assert path.read_bytes().endswith(b"y\nc 3\n")
+    assert records.get("c") == b"3" and records.get("torn") is None
 
 
 def test_records_put_appends_only_an_absent_key(tmp_path):
